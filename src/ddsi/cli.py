@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, kernels, metrics
+from . import __version__, metrics
 from .corpus import SyntheticConfig, generate_synthetic, load_corpus, load_queries, save_corpus, save_queries
 from .errors import ConfigError, DdsiError
 from .mmr import MmrConfig, retrieve_then_rerank
@@ -49,7 +49,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int | None,
     manifest = {
         "command": command,
         "tool_version": __version__,
-        "backend": kernels.active_backend(),
         "config": config,
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -117,7 +116,6 @@ def cmd_eval(args) -> int:
     queries = load_queries(args.queries, corpus)
     params = load_checkpoint(args.checkpoint)
     run = metrics.run_queries(params, queries, args.cutoff)
-    run.corpus = corpus
     report = metrics.report_from_run(run, corpus)
     dataset = args.dataset if args.dataset else Path(args.corpus).stem
     out = _out_dir(args.out)
@@ -139,7 +137,7 @@ def cmd_rerank(args) -> int:
     queries = load_queries(args.queries, corpus)
     params = load_checkpoint(args.checkpoint)
     rankings = [retrieve_then_rerank(params, q.tokens, cfg, qid=q.qid) for q in queries]
-    run = metrics.EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries], corpus=corpus)
+    run = metrics.EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries])
     out = _out_dir(args.out)
     run_path = out / "run.tsv"
     metrics.write_run(run, run_path)
@@ -212,13 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
+    mmr_defaults = MmrConfig()
     p = sub.add_parser("rerank", help="MMR-rerank model retrievals")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.5)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--pool", type=int, default=10)
+    p.add_argument("--lambda", dest="lambda_", type=float, default=mmr_defaults.lambda_)
+    p.add_argument("--m", type=int, default=mmr_defaults.m)
+    p.add_argument("--pool", type=int, default=mmr_defaults.pool)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_rerank)
 

@@ -1,68 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, in vectorized numpy.
 
-Two inner loops dominate runtime: the fused per-batch forward/backward
-pass of training, and the LCS dynamic program behind the pairwise
-ROUGE-L homogenization metric. Each exists twice: a numba @njit build
-of explicit loops, and a vectorized pure-numpy build. The active
-backend is chosen once at import from the DDSI_BACKEND environment
-variable ("numba" or "numpy"; unset means numba when importable) and
-can be switched at runtime with set_backend(), which the benchmark and
-the parity tests use.
-
-Both builds implement identical semantics (same tie-breaking, same
-clamping, same zero-norm policy); floating-point results may differ in
-the last ulps because the numpy build sums through BLAS.
-
-benchmarks/bench_backends.py times one against the other.
+The query encoder and the top-K row cosine have one implementation
+each here, shared by training, scoring and the diversity term. Two
+inner loops dominate runtime: the fused per-batch forward/backward pass
+of training, and the LCS dynamic program behind the pairwise ROUGE-L
+homogenization metric.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:
-    numba = None
-    HAS_NUMBA = False
-
-_ENV_VAR = "DDSI_BACKEND"
-
 _PROB_FLOOR = 1e-12
-
-
-def _initial_backend() -> str:
-    requested = os.environ.get(_ENV_VAR, "").strip().lower()
-    if requested == "":
-        return "numba" if HAS_NUMBA else "numpy"
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    raise RuntimeError(f"{_ENV_VAR} must be 'numba' or 'numpy', got {requested!r}")
-
-
-_backend = _initial_backend()
-
-
-def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +19,16 @@ def set_backend(name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _lcs_pairs_np(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+def lcs_lengths_pairs(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """LCS length for each (pa[i], pb[i]) row pair of a padded token matrix.
+
+    tok is (num_seqs, max_len) int64 padded with -1; lengths gives the
+    valid prefix of each row.
+    """
+    tok = np.ascontiguousarray(tok, dtype=np.int64)
+    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+    pa = np.ascontiguousarray(pa, dtype=np.int64)
+    pb = np.ascontiguousarray(pb, dtype=np.int64)
     # Row-sweep DP, vectorized across all pairs at once. The usual
     # serial-in-j recurrence is replaced by
     #   cand[j] = max(prev[j], prev[j-1] + eq[j]);  row = cummax(cand)
@@ -95,52 +53,6 @@ def _lcs_pairs_np(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: np.n
     return row[np.arange(npairs), lb]
 
 
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _lcs_pairs_nb(tok, lengths, pa, pb):  # pragma: no cover - jitted
-        npairs = pa.shape[0]
-        out = np.zeros(npairs, dtype=np.int64)
-        lmax = tok.shape[1]
-        prev = np.zeros(lmax + 1, dtype=np.int64)
-        curr = np.zeros(lmax + 1, dtype=np.int64)
-        for p in range(npairs):
-            a = pa[p]
-            b = pb[p]
-            la = lengths[a]
-            lb = lengths[b]
-            for j in range(lb + 1):
-                prev[j] = 0
-            for i in range(1, la + 1):
-                curr[0] = 0
-                ai = tok[a, i - 1]
-                for j in range(1, lb + 1):
-                    if ai == tok[b, j - 1]:
-                        curr[j] = prev[j - 1] + 1
-                    else:
-                        up = prev[j]
-                        left = curr[j - 1]
-                        curr[j] = up if up >= left else left
-                prev, curr = curr, prev
-            out[p] = prev[lb]
-        return out
-
-
-def lcs_lengths_pairs(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """LCS length for each (pa[i], pb[i]) row pair of a padded token matrix.
-
-    tok is (num_seqs, max_len) int64 padded with -1; lengths gives the
-    valid prefix of each row.
-    """
-    tok = np.ascontiguousarray(tok, dtype=np.int64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    pa = np.ascontiguousarray(pa, dtype=np.int64)
-    pb = np.ascontiguousarray(pb, dtype=np.int64)
-    if _backend == "numba":
-        return _lcs_pairs_nb(tok, lengths, pa, pb)
-    return _lcs_pairs_np(tok, lengths, pa, pb)
-
-
 def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
     """Pad integer sequences into the (matrix, lengths) form kernels expect."""
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
@@ -153,10 +65,45 @@ def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Shared building blocks: query encoder and top-K row cosines
+# ---------------------------------------------------------------------------
+
+
+def encode(embed, hidden_w, hidden_b, tok, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Encode a padded batch of queries; tok may hold any value past each length.
+
+    Returns (pooled, act): the (B, d) mean token embeddings and
+    tanh(pooled @ hidden_w.T + hidden_b).
+    """
+    mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
+    safe = np.where(mask, tok, 0)
+    pooled = (embed[safe] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    act = np.tanh(pooled @ hidden_w.T + hidden_b)
+    return pooled, act
+
+
+def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise cosines among the K rows of each (..., K, d) stack.
+
+    Returns (unit, inv, cosines): the rows scaled to unit length, their
+    inverse norms, and the (..., K, K) cosine matrices with a zeroed
+    diagonal. A zero-norm row has inverse norm 0, so its pairs count as
+    similarity 0 and pass no gradient.
+    """
+    norms = np.sqrt((rows * rows).sum(axis=-1))
+    inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
+    unit = rows * inv[..., None]
+    cosines = unit @ np.swapaxes(unit, -1, -2)
+    kk = rows.shape[-2]
+    cosines[..., np.arange(kk), np.arange(kk)] = 0.0
+    return unit, inv, cosines
+
+
+# ---------------------------------------------------------------------------
 # Fused training pass: forward, loss terms, exact gradients
 # ---------------------------------------------------------------------------
 #
-# Both builds return
+# train_pass returns
 #   (ce_sum, div_sum, pair_evals, topk,
 #    g_embed, g_hidden_w, g_hidden_b, g_cls_w, g_cls_b)
 # where ce_sum/div_sum are sums of per-example terms, topk is (B, K)
@@ -170,21 +117,15 @@ def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
 #     encoder into hidden_w/hidden_b/embed; a probability at the 1e-12
 #     floor contributes a constant loss and therefore no gradient.
 #   - the diversity term flows only into the selected cls_w rows; the
-#     discrete top-K selection itself is treated as a constant.
+#     discrete top-K selection itself is treated as a constant, and ties
+#     in it go to the smaller docid.
 #   - zero-norm classifier rows contribute similarity 0 with no gradient.
 
 
-def _train_pass_np(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha):
-    bsz, lmax = tok.shape
-    vocab, dim = embed.shape
-    n_docs = cls_w.shape[0]
-
-    mask = np.arange(lmax)[None, :] < lengths[:, None]
-    safe = np.where(mask, tok, 0)
-    gathered = embed[safe] * mask[:, :, None]
-    enc = gathered.sum(axis=1) / lengths[:, None]
-    hid = enc @ hidden_w.T + hidden_b
-    act = np.tanh(hid)
+def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha):
+    """Fused loss + gradient pass over one padded batch; see module notes."""
+    bsz = tok.shape[0]
+    enc, act = encode(embed, hidden_w, hidden_b, tok, lengths)
     logits = act @ cls_w.T + cls_b
 
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -214,7 +155,8 @@ def _train_pass_np(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds,
         g_hb += dhid.sum(axis=0)
         denc = dhid @ hidden_w
         contrib = denc / lengths[:, None]
-        np.add.at(g_embed, safe[mask], np.repeat(contrib, lmax, axis=0).reshape(bsz, lmax, dim)[mask])
+        mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
+        np.add.at(g_embed, tok[mask], np.repeat(contrib, lengths, axis=0))
 
     div_sum = 0.0
     pair_evals = 0
@@ -222,170 +164,14 @@ def _train_pass_np(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds,
     if alpha < 1.0:
         npairs = kk * (kk - 1) // 2
         div_scale = (1.0 - alpha) / (bsz * npairs)
-        doc_ids = np.arange(n_docs)
-        for i in range(bsz):
-            order = np.lexsort((doc_ids, -logits[i]))
-            sel = order[:kk]
-            topk[i] = sel
-            rows = cls_w[sel]
-            norms = np.sqrt((rows * rows).sum(axis=1))
-            inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
-            unit = rows * inv[:, None]
-            cosines = unit @ unit.T
-            np.fill_diagonal(cosines, 0.0)
-            pair_evals += npairs
-            div_sum += float(cosines.sum()) / 2.0 / npairs
-            # d(mean pair cosine)/d row_a, summed over the pairs touching a
-            unit_sum = unit.sum(axis=0)
-            grad_rows = inv[:, None] * ((unit_sum - unit) - unit * cosines.sum(axis=1)[:, None])
-            np.add.at(g_cw, sel, grad_rows * div_scale)
+        topk = np.argsort(-logits, axis=1, kind="stable")[:, :kk]
+        unit, inv, cosines = pair_cosines(cls_w[topk])
+        pair_evals = bsz * npairs
+        for cos_sum in cosines.reshape(bsz, -1).sum(axis=1).tolist():
+            div_sum += cos_sum / 2.0 / npairs
+        # d(mean pair cosine)/d row_a, summed over the pairs touching a
+        unit_sum = unit.sum(axis=1, keepdims=True)
+        grad_rows = inv[..., None] * ((unit_sum - unit) - unit * cosines.sum(axis=2)[..., None])
+        np.add.at(g_cw, topk.ravel(), (grad_rows * div_scale).reshape(bsz * kk, -1))
 
     return ce_sum, div_sum, pair_evals, topk, g_embed, g_hw, g_hb, g_cw, g_cb
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def _train_pass_nb(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha):  # pragma: no cover - jitted
-        bsz = tok.shape[0]
-        dim = embed.shape[1]
-        n_docs = cls_w.shape[0]
-
-        g_embed = np.zeros_like(embed)
-        g_hw = np.zeros_like(hidden_w)
-        g_hb = np.zeros_like(hidden_b)
-        g_cw = np.zeros_like(cls_w)
-        g_cb = np.zeros_like(cls_b)
-        topk = np.full((bsz, kk), -1, dtype=np.int64)
-
-        ce_sum = 0.0
-        div_sum = 0.0
-        pair_evals = 0
-        npairs = kk * (kk - 1) // 2
-
-        enc = np.zeros(dim)
-        act = np.zeros(dim)
-        logits = np.zeros(n_docs)
-        probs = np.zeros(n_docs)
-        dact = np.zeros(dim)
-        dhid = np.zeros(dim)
-        denc = np.zeros(dim)
-        taken = np.zeros(n_docs, dtype=np.bool_)
-
-        for ex in range(bsz):
-            ln = lengths[ex]
-            for c in range(dim):
-                enc[c] = 0.0
-            for t in range(ln):
-                row = tok[ex, t]
-                for c in range(dim):
-                    enc[c] += embed[row, c]
-            for c in range(dim):
-                enc[c] /= ln
-            for c in range(dim):
-                h = hidden_b[c]
-                for c2 in range(dim):
-                    h += hidden_w[c, c2] * enc[c2]
-                act[c] = math.tanh(h)
-            zmax = -np.inf
-            for r in range(n_docs):
-                z = cls_b[r]
-                for c in range(dim):
-                    z += cls_w[r, c] * act[c]
-                logits[r] = z
-                if z > zmax:
-                    zmax = z
-            psum = 0.0
-            for r in range(n_docs):
-                e = math.exp(logits[r] - zmax)
-                probs[r] = e
-                psum += e
-            for r in range(n_docs):
-                probs[r] /= psum
-
-            gold = golds[ex]
-            p_gold = probs[gold]
-            if p_gold > _PROB_FLOOR:
-                ce_sum += -math.log(p_gold)
-                clamped = False
-            elif p_gold == p_gold:
-                ce_sum += -math.log(_PROB_FLOOR)
-                clamped = True
-            else:  # NaN must surface, not clamp
-                ce_sum += p_gold
-                clamped = True
-
-            if alpha > 0.0 and not clamped:
-                scale = alpha / bsz
-                for c in range(dim):
-                    dact[c] = 0.0
-                for r in range(n_docs):
-                    dz = probs[r] * scale
-                    if r == gold:
-                        dz -= scale
-                    g_cb[r] += dz
-                    for c in range(dim):
-                        g_cw[r, c] += dz * act[c]
-                        dact[c] += dz * cls_w[r, c]
-                for c in range(dim):
-                    dhid[c] = dact[c] * (1.0 - act[c] * act[c])
-                    g_hb[c] += dhid[c]
-                for c in range(dim):
-                    denc[c] = 0.0
-                for c in range(dim):
-                    dh = dhid[c]
-                    for c2 in range(dim):
-                        g_hw[c, c2] += dh * enc[c2]
-                        denc[c2] += dh * hidden_w[c, c2]
-                inv_len = 1.0 / ln
-                for t in range(ln):
-                    row = tok[ex, t]
-                    for c in range(dim):
-                        g_embed[row, c] += denc[c] * inv_len
-
-            if alpha < 1.0:
-                for r in range(n_docs):
-                    taken[r] = False
-                for k in range(kk):
-                    best = -1
-                    best_z = -np.inf
-                    for r in range(n_docs):
-                        if not taken[r] and logits[r] > best_z:
-                            best = r
-                            best_z = logits[r]
-                    taken[best] = True
-                    topk[ex, k] = best
-                div_scale = (1.0 - alpha) / (bsz * npairs)
-                ex_div = 0.0
-                for a in range(kk):
-                    ra = topk[ex, a]
-                    na = 0.0
-                    for c in range(dim):
-                        na += cls_w[ra, c] * cls_w[ra, c]
-                    na = math.sqrt(na)
-                    for b in range(a + 1, kk):
-                        rb = topk[ex, b]
-                        pair_evals += 1
-                        nb = 0.0
-                        dot = 0.0
-                        for c in range(dim):
-                            nb += cls_w[rb, c] * cls_w[rb, c]
-                            dot += cls_w[ra, c] * cls_w[rb, c]
-                        nb = math.sqrt(nb)
-                        if na == 0.0 or nb == 0.0:
-                            continue
-                        cos = dot / (na * nb)
-                        ex_div += cos
-                        for c in range(dim):
-                            g_cw[ra, c] += div_scale * (cls_w[rb, c] / (na * nb) - cos * cls_w[ra, c] / (na * na))
-                            g_cw[rb, c] += div_scale * (cls_w[ra, c] / (na * nb) - cos * cls_w[rb, c] / (nb * nb))
-                div_sum += ex_div / npairs
-
-        return ce_sum, div_sum, pair_evals, topk, g_embed, g_hw, g_hb, g_cw, g_cb
-
-
-def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha):
-    """Fused loss + gradient pass over one padded batch; see module notes."""
-    if _backend == "numba":
-        return _train_pass_nb(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha)
-    return _train_pass_np(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha)

@@ -33,7 +33,6 @@ from .model import ModelParams, RankedList, batch_logits, top_k
 class EvalRun:
     rankings: list[RankedList]
     golds: list[int]
-    corpus: Corpus | None = None
 
 
 @dataclass
@@ -187,9 +186,7 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
 
 
 def evaluate(p: ModelParams, queries: list[QueryExample], corpus: Corpus, cutoff: int = 10) -> MetricsReport:
-    run = run_queries(p, queries, cutoff)
-    run.corpus = corpus
-    return report_from_run(run, corpus)
+    return report_from_run(run_queries(p, queries, cutoff), corpus)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, ZeroVector
-from .model import ModelParams, RankedList, encode_query, forward, top_k
+from .model import ModelParams, RankedList, encode_query, forward, rescale_exact, top_k
 
 
 @dataclass
 class MmrConfig:
     lambda_: float = 0.5
     m: int = 10
-    pool: int = 10
+    pool: int = 50
 
     def validate(self) -> None:
         if not 0.0 <= self.lambda_ <= 1.0:
@@ -45,9 +45,9 @@ def mmr_rerank(query_vec, candidates: list[tuple[int, np.ndarray]], cfg: MmrConf
     if len(set(docids.tolist())) != len(docids):
         raise InvalidConfig("candidate docids must be distinct")
 
-    q = np.asarray(query_vec, dtype=np.float64)
+    q = rescale_exact(np.asarray(query_vec, dtype=np.float64))
     qn = np.linalg.norm(q)
-    vecs = np.array([v for _, v in candidates], dtype=np.float64)
+    vecs = rescale_exact(np.array([v for _, v in candidates], dtype=np.float64))
     norms = np.linalg.norm(vecs, axis=1)
     if qn == 0.0 or (norms == 0.0).any():
         raise ZeroVector("MMR requires nonzero query and candidate vectors")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     CheckpointVersionMismatch,
     EmptyQuery,
@@ -117,10 +118,10 @@ def _check_tokens(p: ModelParams, tokens) -> np.ndarray:
 
 
 def encode_query(p: ModelParams, tokens) -> np.ndarray:
-    """tanh(hidden_w @ mean(embed[tokens]) + hidden_b)."""
+    """tanh(hidden_w @ mean token embedding + hidden_b) for one validated query."""
     idx = _check_tokens(p, tokens)
-    pooled = p.embed[idx].mean(axis=0)
-    return np.tanh(p.hidden_w @ pooled + p.hidden_b)
+    _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, idx[None, :], np.array([idx.size]))
+    return act[0]
 
 
 def forward(p: ModelParams, tokens) -> np.ndarray:
@@ -130,10 +131,7 @@ def forward(p: ModelParams, tokens) -> np.ndarray:
 
 def batch_logits(p: ModelParams, tok: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Vectorized forward for many queries; tok is padded with any value."""
-    mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
-    safe = np.where(mask, tok, 0)
-    pooled = (p.embed[safe] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
-    act = np.tanh(pooled @ p.hidden_w.T + p.hidden_b)
+    _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, tok, lengths)
     return act @ p.cls_w.T + p.cls_b
 
 
@@ -154,9 +152,19 @@ def top_k(logits, k: int, qid: int = -1) -> RankedList:
     return RankedList(qid=qid, entries=[(int(i), float(z[i])) for i in order])
 
 
+def rescale_exact(x: np.ndarray) -> np.ndarray:
+    """x times a power of two that brings each row's largest |entry| into [0.5, 1).
+
+    The scaling is exact, so cosines in the normal range keep their
+    bits, while squared norms of tiny vectors no longer underflow to
+    subnormals (which pushed cosines above 1). Zero rows stay zero.
+    """
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
+
+
 def cosine(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    u = rescale_exact(np.asarray(u, dtype=np.float64))
+    v = rescale_exact(np.asarray(v, dtype=np.float64))
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:

@@ -136,12 +136,7 @@ def diversity_term(p: ModelParams, topk) -> float:
         raise KTooSmall(f"diversity needs K >= 2, got {kk}")
     if len(set(sel)) != kk:
         raise InvalidConfig("top-K docids must be distinct")
-    rows = p.cls_w[np.asarray(sel, dtype=np.int64)]
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    inv = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 0.0)
-    unit = rows * inv[:, None]
-    cosines = unit @ unit.T
-    np.fill_diagonal(cosines, 0.0)
+    _, _, cosines = kernels.pair_cosines(p.cls_w[np.asarray(sel, dtype=np.int64)])
     npairs = kk * (kk - 1) // 2
     _count_pairs(npairs)
     return float(cosines.sum()) / 2.0 / npairs

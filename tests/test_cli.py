@@ -186,6 +186,24 @@ def test_rerank_deterministic(workspace, tmp_path):
     assert sha(a / "run.tsv") == sha(b / "run.tsv")
 
 
+def test_rerank_defaults_diversify_beyond_plain_top10(tmp_path):
+    # standard corpus; the default pool is wider than m, so MMR can swap in
+    # documents from outside the plain top-10
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert main(["generate", "--out", str(data)]) == 0
+    base = ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "test.tsv")]
+    assert main(["train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+                 "--epochs", "3", "--out", str(model)]) == 0
+    ckpt = str(model / "checkpoint.bin")
+    assert main(["eval", "--checkpoint", ckpt, *base, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["rerank", "--checkpoint", ckpt, *base, "--out", str(tmp_path / "rerank")]) == 0
+    plain = read_run(tmp_path / "eval" / "run.tsv")
+    mmr = read_run(tmp_path / "rerank" / "run.tsv")
+    assert [r.qid for r in plain] == [r.qid for r in mmr]
+    assert all(len(r.entries) == 10 for r in mmr)
+    assert any(set(a.docids()) != set(b.docids()) for a, b in zip(plain, mmr))
+
+
 def test_rerank_lambda_one_matches_eval_run_on_normalized_checkpoint(workspace, tmp_path):
     _, data, run = workspace
     # bias-free, row-normalized checkpoint: cosine order equals logit order

@@ -7,46 +7,16 @@ from ddsi.rng import Xoshiro256StarStar
 
 from oracles import oracle_lcs
 
-pytestmark = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
 
-
-def random_instance(seed, v=9, d=6, n=12, kk=4, bsz=5, max_len=8):
-    params = init_model(v, d, n, seed)
-    rng = Xoshiro256StarStar(seed + 999)
-    seqs = []
-    golds = []
-    for _ in range(bsz):
-        length = 1 + rng.randbelow(max_len)
-        seqs.append([rng.randbelow(v) for _ in range(length)])
-        golds.append(rng.randbelow(n))
-    tok, lengths = kernels.pack_token_matrix(seqs)
-    return params, tok, lengths, np.array(golds, dtype=np.int64), kk
-
-
-@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-def test_train_pass_backends_agree(alpha):
-    for seed in range(6):
-        params, tok, lengths, golds, kk = random_instance(seed)
-        args = (*params.arrays(), tok, lengths, golds, kk, alpha)
-        np_out = kernels._train_pass_np(*args)
-        nb_out = kernels._train_pass_nb(*args)
-        assert np_out[0] == pytest.approx(nb_out[0], rel=1e-12, abs=1e-12)  # ce sum
-        assert np_out[1] == pytest.approx(nb_out[1], rel=1e-12, abs=1e-12)  # div sum
-        assert np_out[2] == nb_out[2]  # pair evals
-        np.testing.assert_array_equal(np_out[3], nb_out[3])  # topk selection
-        for a, b in zip(np_out[4:], nb_out[4:]):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-13)
-
-
-def test_lcs_backends_agree_and_match_oracle():
+def test_lcs_matches_oracle():
     rng = Xoshiro256StarStar(5)
-    seqs = [[rng.randbelow(6) for _ in range(1 + rng.randbelow(20))] for _ in range(12)]
+    # short rows plus rows on either side of one, two and three 64-token words
+    lens = [1 + rng.randbelow(20) for _ in range(6)] + [63, 64, 65, 127, 128, 129, 160]
+    seqs = [[rng.randbelow(6) for _ in range(n)] for n in lens]
     tok, lengths = kernels.pack_token_matrix(seqs)
     pa, pb = np.triu_indices(len(seqs), k=1)
-    out_np = kernels._lcs_pairs_np(tok, lengths, pa.astype(np.int64), pb.astype(np.int64))
-    out_nb = kernels._lcs_pairs_nb(tok, lengths, pa.astype(np.int64), pb.astype(np.int64))
-    np.testing.assert_array_equal(out_np, out_nb)
-    for value, i, j in zip(out_np, pa, pb):
+    out = kernels.lcs_lengths_pairs(tok, lengths, pa, pb)
+    for value, i, j in zip(out, pa, pb):
         assert value == oracle_lcs(seqs[i], seqs[j])
 
 
@@ -62,36 +32,47 @@ def test_pack_token_matrix_pads_with_minus_one():
     np.testing.assert_array_equal(tok, [[3, 1], [2, -1]])
 
 
-def test_backend_switching():
-    original = kernels.active_backend()
-    try:
-        kernels.set_backend("numpy")
-        assert kernels.active_backend() == "numpy"
-        kernels.set_backend("numba")
-        assert kernels.active_backend() == "numba"
-        with pytest.raises(ValueError):
-            kernels.set_backend("cuda")
-    finally:
-        kernels.set_backend(original)
+def test_pair_cosines_batch_matches_each_stack():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4, 5, 3))
+    rows[2, 1] = 0.0
+    unit, inv, cosines = kernels.pair_cosines(rows)
+    assert cosines.shape == (4, 5, 5)
+    for b in range(4):
+        u, i, c = kernels.pair_cosines(rows[b])
+        np.testing.assert_array_equal(unit[b], u)
+        np.testing.assert_array_equal(inv[b], i)
+        np.testing.assert_array_equal(cosines[b], c)
+        np.testing.assert_array_equal(np.diag(c), 0.0)
+    # a zero-norm row counts as similarity 0 with every other row
+    assert inv[2, 1] == 0.0
+    np.testing.assert_array_equal(cosines[2, 1], 0.0)
+    np.testing.assert_array_equal(cosines[2, :, 1], 0.0)
 
 
-def test_dispatch_follows_backend(small_world):
-    _, corpus, train_q, _ = small_world
-    from ddsi.train import TrainConfig, backward
+def test_train_pass_ties_go_to_smaller_docids():
+    bsz, kk = 6, 4
+    params = init_model(9, 5, 12, 3)
+    params.cls_w[:] = 0.0
+    params.cls_b[:] = 0.0
+    rng = Xoshiro256StarStar(8)
+    tok, lengths = kernels.pack_token_matrix([[rng.randbelow(9) for _ in range(1 + i)] for i in range(bsz)])
+    golds = np.arange(bsz, dtype=np.int64)
+    for alpha in (0.0, 0.5):
+        out = kernels.train_pass(*params.arrays(), tok, lengths, golds, kk, alpha)
+        np.testing.assert_array_equal(out[3], np.tile(np.arange(kk), (bsz, 1)))
+        assert out[2] == bsz * kk * (kk - 1) // 2
+        assert out[1] == 0.0
 
-    params = init_model(corpus.vocab.size, 16, corpus.num_docs, 1)
-    cfg = TrainConfig(alpha=0.5, k=4, batch_size=8, dim=16)
-    original = kernels.active_backend()
-    results = {}
-    try:
-        for backend in ("numpy", "numba"):
-            kernels.set_backend(backend)
-            breakdown, grads = backward(params.copy(), train_q[:8], cfg)
-            results[backend] = (breakdown, grads)
-    finally:
-        kernels.set_backend(original)
-    a, b = results["numpy"], results["numba"]
-    assert a[0].ce == pytest.approx(b[0].ce, rel=1e-12)
-    assert a[0].selected_topk == b[0].selected_topk
-    for ga, gb in zip(a[1].arrays(), b[1].arrays()):
-        np.testing.assert_allclose(ga, gb, rtol=1e-9, atol=1e-13)
+
+@pytest.mark.parametrize("seed", range(3))
+def test_encode_one_row_matches_batch(seed):
+    params = init_model(15, 6, 4, seed)
+    rng = Xoshiro256StarStar(seed)
+    seqs = [[rng.randbelow(15) for _ in range(1 + rng.randbelow(7))] for _ in range(5)]
+    tok, lengths = kernels.pack_token_matrix(seqs)
+    _, act = kernels.encode(params.embed, params.hidden_w, params.hidden_b, tok, lengths)
+    for i, s in enumerate(seqs):
+        row = np.array([s], dtype=np.int64)
+        _, one = kernels.encode(params.embed, params.hidden_w, params.hidden_b, row, np.array([len(s)]))
+        np.testing.assert_allclose(one[0], act[i], rtol=1e-12, atol=1e-15)

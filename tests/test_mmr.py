@@ -100,6 +100,17 @@ def test_zero_vectors_rejected():
         mmr_rerank(np.zeros(4), random_pool(13, 4), MmrConfig(lambda_=0.5, m=2, pool=4))
 
 
+def test_tiny_candidate_relevance_stays_at_most_one():
+    # squared norms of 1e-158-scaled rows underflow to subnormals unless
+    # the vectors are rescaled first; unscaled, this relevance was 1.0000000102
+    q = random_query(14)
+    pool = [(0, q * 1e-158), (1, -q)]
+    out = mmr_rerank(q, pool, MmrConfig(lambda_=1.0, m=2, pool=2))
+    assert out.docids() == [0, 1]
+    assert out.entries[0][1] == pytest.approx(1.0, abs=1e-15)
+    assert out.entries[0][1] <= 1.0 + 1e-15
+
+
 # ---------------------------------------------------------------------------
 # retrieve_then_rerank
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddsi.errors import (
     CheckpointVersionMismatch,
@@ -175,6 +175,12 @@ def test_cosine_identity_orthogonal_and_known():
     assert cosine([1.0, 2.0], [2.0, 1.0]) == pytest.approx(0.8, abs=1e-12)
 
 
+def test_cosine_tiny_and_huge_vectors_stay_in_range():
+    assert cosine([1.0, 0.0], [1.0582240700692009e-158, 0.0]) == 1.0
+    assert cosine([3e-170, 4e-170], [3e-170, 4e-170]) == pytest.approx(1.0, abs=1e-15)
+    assert cosine([3e170, 4e170], [4e170, 3e170]) == pytest.approx(0.96, abs=1e-15)
+
+
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
         cosine([0.0, 0.0], [1.0, 0.0])
@@ -182,11 +188,14 @@ def test_cosine_zero_vector():
 
 @given(
     st.lists(st.floats(min_value=-10, max_value=10), min_size=2, max_size=8),
-    st.data(),
+    st.lists(st.floats(min_value=-10, max_value=10), min_size=8, max_size=8),
 )
-def test_cosine_symmetric(u, data):
-    v = data.draw(st.lists(st.floats(min_value=-10, max_value=10), min_size=len(u), max_size=len(u)))
-    if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
+# the squared norm of the second vector underflows to a subnormal; before
+# the exact rescale in cosine() this gave 1.0000000032477718
+@example([1.0, 0.0], [1.0582240700692009e-158, 0.0])
+def test_cosine_symmetric(u, v):
+    v = v[: len(u)]
+    if not any(u) or not any(v):
         return
     assert cosine(u, v) == cosine(v, u)
     assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
