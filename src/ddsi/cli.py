@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, metrics
 from .corpus import SyntheticConfig, generate_synthetic, load_corpus, load_queries, save_corpus, save_queries
-from .errors import ConfigError, DdsiError
+from .errors import ConfigError, DdsiError, InvalidConfig
 from .mmr import MmrConfig, retrieve_then_rerank
 from .model import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train, write_history
@@ -113,6 +113,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     corpus = load_corpus(args.corpus)
+    # the report's Hits@5, Hits@10 and MRR@10 need a run at least that deep
+    if args.cutoff < min(10, corpus.num_docs):
+        raise InvalidConfig(f"--cutoff {args.cutoff} is below min(10, N={corpus.num_docs})")
     queries = load_queries(args.queries, corpus)
     params = load_checkpoint(args.checkpoint)
     run = metrics.run_queries(params, queries, args.cutoff)
@@ -153,16 +156,7 @@ def cmd_report(args) -> int:
         rows.extend(metrics.read_report_tsv(path))
     table = metrics.format_report_table(rows)
     if args.out:
-        ordered = sorted(rows, key=lambda r: (r["dataset"], -(r["alpha"] if r["alpha"] is not None else float("-inf"))))
-        lines = ["\t".join(metrics.REPORT_COLUMNS)]
-        for r in ordered:
-            lines.append(
-                "\t".join(
-                    ("NA" if r[c] is None else (str(r[c]) if c in ("dataset", "num_queries") else f"{r[c]:.17g}"))
-                    for c in metrics.REPORT_COLUMNS
-                )
-            )
-        _atomic_write_text(Path(args.out), "\n".join(lines) + "\n")
+        _atomic_write_text(Path(args.out), metrics.report_tsv(metrics.sort_report_rows(rows)))
     print(table, end="")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     EmptyDocument,
-    GoldDocidOutOfRange,
+    GoldOutOfRange,
     InvalidConfig,
     MalformedLine,
     NonDenseDocids,
@@ -160,7 +160,7 @@ def load_queries(path, corpus: Corpus) -> list[QueryExample]:
             except ValueError as e:
                 raise MalformedLine(path, lineno, "docid not an integer") from e
             if not 0 <= gold < corpus.num_docs:
-                raise GoldDocidOutOfRange(f"{path}:{lineno}: docid {gold} outside [0, {corpus.num_docs})")
+                raise GoldOutOfRange(f"{path}:{lineno}: docid {gold} outside [0, {corpus.num_docs})")
             tokens = corpus.vocab.tokenize(text)
             if not tokens:
                 raise MalformedLine(path, lineno, "query has no tokens")

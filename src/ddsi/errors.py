@@ -26,10 +26,6 @@ class KOutOfRange(ConfigError):
     pass
 
 
-class KTooSmall(ConfigError):
-    pass
-
-
 # corpus / query files
 class MalformedLine(DdsiError):
     def __init__(self, path, lineno, detail=""):
@@ -50,8 +46,8 @@ class EmptyDocument(DdsiError):
         super().__init__(f"document {docid} has no tokens")
 
 
-class GoldDocidOutOfRange(DdsiError):
-    pass
+class GoldOutOfRange(DdsiError):
+    """A gold docid outside [0, N), in a query file or a training batch."""
 
 
 # model
@@ -72,10 +68,6 @@ class CheckpointVersionMismatch(DdsiError):
 
 
 # train
-class GoldOutOfRange(DdsiError):
-    pass
-
-
 class NonFiniteGradient(DdsiError):
     """Gradient or loss went non-finite; the run must abort."""
 

@@ -103,9 +103,9 @@ def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Fused training pass: forward, loss terms, exact gradients
 # ---------------------------------------------------------------------------
 #
-# train_pass returns
-#   (ce_sum, div_sum, pair_evals, topk,
-#    g_embed, g_hidden_w, g_hidden_b, g_cls_w, g_cls_b)
+# train_pass adds the batch gradients into `grads`, zeroed parameters of
+# the model's shapes (its arrays() in checkpoint order), and returns
+#   (ce_sum, div_sum, pair_evals, topk)
 # where ce_sum/div_sum are sums of per-example terms, topk is (B, K)
 # int64 (-1 filled when the diversity path is skipped), and pair_evals
 # counts cosine pair evaluations actually performed (0 when alpha == 1,
@@ -122,7 +122,7 @@ def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 #   - zero-norm classifier rows contribute similarity 0 with no gradient.
 
 
-def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha):
+def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk, alpha, grads):
     """Fused loss + gradient pass over one padded batch; see module notes."""
     bsz = tok.shape[0]
     enc, act = encode(embed, hidden_w, hidden_b, tok, lengths)
@@ -137,11 +137,7 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
     ce_terms = -np.log(np.maximum(p_gold, _PROB_FLOOR))
     ce_sum = float(ce_terms.sum())
 
-    g_embed = np.zeros_like(embed)
-    g_hw = np.zeros_like(hidden_w)
-    g_hb = np.zeros_like(hidden_b)
-    g_cw = np.zeros_like(cls_w)
-    g_cb = np.zeros_like(cls_b)
+    g_embed, g_hw, g_hb, g_cw, g_cb = grads.arrays()
 
     if alpha > 0.0:
         dlogits = probs * (alpha / bsz)
@@ -174,4 +170,4 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
         grad_rows = inv[..., None] * ((unit_sum - unit) - unit * cosines.sum(axis=2)[..., None])
         np.add.at(g_cw, topk.ravel(), (grad_rows * div_scale).reshape(bsz * kk, -1))
 
-    return ce_sum, div_sum, pair_evals, topk, g_embed, g_hw, g_hb, g_cw, g_cb
+    return ce_sum, div_sum, pair_evals, topk

@@ -226,22 +226,34 @@ def _fmt(value: float | None) -> str:
     return "NA" if value is None else f"{value:.17g}"
 
 
+def sort_report_rows(rows: list[dict]) -> list[dict]:
+    """Report rows by dataset, then descending alpha (rows without alpha last)."""
+    return sorted(rows, key=lambda r: (r["dataset"], -(r["alpha"] if r["alpha"] is not None else -np.inf)))
+
+
+def report_tsv(rows: list[dict]) -> str:
+    """Header plus one line per report row, floats at full precision."""
+    lines = ["\t".join(REPORT_COLUMNS)]
+    for r in rows:
+        lines.append("\t".join(str(r[c]) if c in ("dataset", "num_queries") else _fmt(r[c]) for c in REPORT_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
 def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float | None) -> None:
+    row = {
+        "dataset": dataset,
+        "alpha": alpha,
+        "hits1": report.hits1,
+        "hits5": report.hits5,
+        "hits10": report.hits10,
+        "mrr10": report.mrr10,
+        "rouge_l": report.rouge_l_hom,
+        "ngd": report.ngd,
+        "cr": report.cr,
+        "num_queries": report.num_queries,
+    }
     with open(path, "w", encoding="utf-8") as f:
-        f.write("\t".join(REPORT_COLUMNS) + "\n")
-        row = [
-            dataset,
-            _fmt(alpha),
-            _fmt(report.hits1),
-            _fmt(report.hits5),
-            _fmt(report.hits10),
-            _fmt(report.mrr10),
-            _fmt(report.rouge_l_hom),
-            _fmt(report.ngd),
-            _fmt(report.cr),
-            str(report.num_queries),
-        ]
-        f.write("\t".join(row) + "\n")
+        f.write(report_tsv([row]))
 
 
 def read_report_tsv(path) -> list[dict]:
@@ -266,9 +278,8 @@ def read_report_tsv(path) -> list[dict]:
 def format_report_table(rows: list[dict]) -> str:
     """Merged rows rendered Table-2 style, dataset then descending alpha."""
     header = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE-L", "NGD", "CR"]
-    ordered = sorted(rows, key=lambda r: (r["dataset"], -(r["alpha"] if r["alpha"] is not None else -np.inf)))
     cells = [header]
-    for r in ordered:
+    for r in sort_report_rows(rows):
         cells.append(
             [r["dataset"]]
             + ["NA" if r[k] is None else f"{r[k]:.4f}" for k in ("alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr")]

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, ZeroVector
-from .model import ModelParams, RankedList, encode_query, forward, rescale_exact, top_k
+# forward is unused here but stays importable: perfbench/layers.py wraps mmr.forward by name
+from .model import ModelParams, RankedList, encode_query, forward, rescale_exact, top_k  # noqa: F401
 
 
 @dataclass
@@ -73,9 +74,12 @@ def mmr_rerank(query_vec, candidates: list[tuple[int, np.ndarray]], cfg: MmrConf
 
 
 def retrieve_then_rerank(p: ModelParams, tokens, cfg: MmrConfig, qid: int = -1) -> RankedList:
-    """Top-pool retrieval by logits, then MMR over classifier-row vectors."""
+    """Top-pool retrieval by logits, then MMR over classifier-row vectors.
+
+    The query is encoded once; its logits are forward()'s expression.
+    """
     cfg.validate()
-    logits = forward(p, tokens)
-    pool = top_k(logits, cfg.pool)
+    q = encode_query(p, tokens)
+    pool = top_k(p.cls_w @ q + p.cls_b, cfg.pool)
     candidates = [(docid, p.cls_w[docid]) for docid in pool.docids()]
-    return mmr_rerank(encode_query(p, tokens), candidates, cfg, qid=qid)
+    return mmr_rerank(q, candidates, cfg, qid=qid)

@@ -8,7 +8,7 @@ representation of docid i. Parameter shapes are a pure function of
 
 from __future__ import annotations
 
-import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,48 +29,62 @@ CHECKPOINT_MAGIC = b"DDSI"
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
-class ModelParams:
-    embed: np.ndarray  # (V, d)
-    hidden_w: np.ndarray  # (d, d)
-    hidden_b: np.ndarray  # (d,)
-    cls_w: np.ndarray  # (N, d)
-    cls_b: np.ndarray  # (N,)
+def param_shapes(v: int, d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of embed, hidden_w, hidden_b, cls_w, cls_b, in checkpoint order."""
+    return ((v, d), (d, d), (d,), (n, d), (n,))
 
-    def __post_init__(self):
-        v, d = self.embed.shape
-        if self.hidden_w.shape != (d, d) or self.hidden_b.shape != (d,):
-            raise InvalidDims("hidden layer shapes inconsistent with embedding dim")
-        n = self.cls_w.shape[0]
-        if self.cls_w.shape != (n, d) or self.cls_b.shape != (n,):
-            raise InvalidDims("classifier shapes inconsistent")
+
+def flat_size(v: int, d: int, n: int) -> int:
+    """Length of the flat parameter vector for dims (V, d, N)."""
+    return sum(math.prod(s) for s in param_shapes(v, d, n))
+
+
+class ModelParams:
+    """All parameters as one flat float64 vector `flat`, in checkpoint order.
+
+    embed, hidden_w, hidden_b, cls_w and cls_b are reshaped views into
+    `flat`: writes through either are seen by both. Gradients share this
+    layout, so the optimizer and the checkpoint work on `flat` whole.
+    """
+
+    def __init__(self, flat: np.ndarray, v: int, d: int, n: int):
+        if flat.dtype != np.float64 or flat.shape != (flat_size(v, d, n),):
+            raise InvalidDims(f"flat parameters {flat.dtype}{flat.shape} do not fit dims V={v} d={d} N={n}")
+        self.flat = flat
+        self.dims = (v, d, n)
+        views = []
+        start = 0
+        for shape in param_shapes(v, d, n):
+            end = start + math.prod(shape)
+            views.append(flat[start:end].reshape(shape))
+            start = end
+        self.embed, self.hidden_w, self.hidden_b, self.cls_w, self.cls_b = views
+
+    @classmethod
+    def zeros(cls, v: int, d: int, n: int) -> "ModelParams":
+        return cls(np.zeros(flat_size(v, d, n)), v, d, n)
 
     @property
     def vocab_size(self) -> int:
-        return self.embed.shape[0]
+        return self.dims[0]
 
     @property
     def dim(self) -> int:
-        return self.embed.shape[1]
+        return self.dims[1]
 
     @property
     def num_docs(self) -> int:
-        return self.cls_w.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.vocab_size, self.dim, self.num_docs)
+        return self.dims[2]
 
     def param_count(self) -> int:
-        v, d, n = self.dims
-        return v * d + d * d + d + n * d + n
+        return self.flat.size
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         """Parameter arrays in canonical (checkpoint) order."""
         return (self.embed, self.hidden_w, self.hidden_b, self.cls_w, self.cls_b)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(*(a.copy() for a in self.arrays()))
+        return ModelParams(self.flat.copy(), *self.dims)
 
 
 @dataclass
@@ -92,20 +106,12 @@ def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:
     """
     if v < 1 or d < 1 or n < 1:
         raise InvalidDims(f"dims must be >= 1, got V={v} d={d} N={n}")
+    p = ModelParams.zeros(v, d, n)
     rng = Xoshiro256StarStar(seed)
     bound = 1.0 / np.sqrt(d)
-
-    def fill(rows: int, cols: int) -> np.ndarray:
-        vals = [rng.uniform(-bound, bound) for _ in range(rows * cols)]
-        return np.array(vals, dtype=np.float64).reshape(rows, cols)
-
-    return ModelParams(
-        embed=fill(v, d),
-        hidden_w=fill(d, d),
-        hidden_b=np.zeros(d, dtype=np.float64),
-        cls_w=fill(n, d),
-        cls_b=np.zeros(n, dtype=np.float64),
-    )
+    for arr in (p.embed, p.hidden_w, p.cls_w):
+        arr[:] = np.reshape([rng.uniform(-bound, bound) for _ in range(arr.size)], arr.shape)
+    return p
 
 
 def _check_tokens(p: ModelParams, tokens) -> np.ndarray:
@@ -172,37 +178,11 @@ def cosine(u, v) -> float:
     return float(u @ v / (nu * nv))
 
 
-def op_trace_hash(p: ModelParams, tokens) -> str:
-    """SHA-256 over the forward pass's operation sequence.
-
-    The trace names each op with its operand shapes; it depends only on
-    (V, d, N) and the query length, never on parameter values, so any
-    two models with equal dims produce equal hashes for a query.
-    """
-    idx = _check_tokens(p, tokens)
-    v, d, n = p.dims
-    trace = [
-        ("gather", (int(idx.size), d), (v, d)),
-        ("mean", (int(idx.size), d)),
-        ("matvec", (d, d)),
-        ("add", (d,)),
-        ("tanh", (d,)),
-        ("matvec", (n, d)),
-        ("add", (n,)),
-    ]
-    return hashlib.sha256(repr(trace).encode()).hexdigest()
-
-
 def save_checkpoint(p: ModelParams, path) -> None:
-    """Binary checkpoint: magic, version, dims, then f32 LE arrays."""
-    v, d, n = p.dims
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<IIII", CHECKPOINT_VERSION, v, d, n)
-    for arr in p.arrays():
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    """Binary checkpoint: magic, version, dims, then the flat vector as f32 LE."""
+    header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, *p.dims)
     with open(path, "wb") as f:
-        f.write(bytes(blob))
+        f.write(header + p.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -213,15 +193,10 @@ def load_checkpoint(path) -> ModelParams:
     version, v, d, n = struct.unpack("<IIII", blob[4:20])
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionMismatch(f"{path}: format version {version}, expected {CHECKPOINT_VERSION}")
-    shapes = [(v, d), (d, d), (d,), (n, d), (n,)]
-    expected = 20 + 4 * sum(int(np.prod(s)) for s in shapes)
+    expected = 20 + 4 * flat_size(v, d, n)
     if len(blob) != expected:
         raise CheckpointVersionMismatch(f"{path}: {len(blob)} bytes, expected {expected}")
-    arrays = []
-    offset = 20
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 4 * count
-    return ModelParams(*arrays)
+    flat = np.frombuffer(blob, dtype="<f4", offset=20)
+    if not np.isfinite(flat).all():
+        raise CheckpointVersionMismatch(f"{path}: non-finite parameter values")
+    return ModelParams(flat.astype(np.float64), v, d, n)

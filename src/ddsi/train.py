@@ -15,7 +15,7 @@ selected classifier rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .errors import (
     EmptyQuery,
     GoldOutOfRange,
     InvalidConfig,
-    KTooSmall,
     NonFiniteGradient,
     ShapeMismatch,
     TokenOutOfRange,
@@ -96,18 +95,6 @@ class LossBreakdown:
 
 
 @dataclass
-class Gradients:
-    embed: np.ndarray
-    hidden_w: np.ndarray
-    hidden_b: np.ndarray
-    cls_w: np.ndarray
-    cls_b: np.ndarray
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        return (self.embed, self.hidden_w, self.hidden_b, self.cls_w, self.cls_b)
-
-
-@dataclass
 class EpochStats:
     epoch: int
     ce: float
@@ -133,7 +120,7 @@ def diversity_term(p: ModelParams, topk) -> float:
     sel = list(topk)
     kk = len(sel)
     if kk < 2:
-        raise KTooSmall(f"diversity needs K >= 2, got {kk}")
+        raise InvalidConfig(f"diversity needs K >= 2, got {kk}")
     if len(set(sel)) != kk:
         raise InvalidConfig("top-K docids must be distinct")
     _, _, cosines = kernels.pair_cosines(p.cls_w[np.asarray(sel, dtype=np.int64)])
@@ -163,9 +150,9 @@ def _run_pass(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig):
         raise GoldOutOfRange(f"gold docid outside [0, {n})")
     if cfg.k > n:
         raise InvalidConfig(f"K={cfg.k} exceeds corpus size {n}")
-    ce_sum, div_sum, pair_evals, topk, *grad_arrays = kernels.train_pass(
-        p.embed, p.hidden_w, p.hidden_b, p.cls_w, p.cls_b,
-        tok, lengths, golds, cfg.k, cfg.alpha,
+    grads = ModelParams.zeros(*p.dims)
+    ce_sum, div_sum, pair_evals, topk = kernels.train_pass(
+        *p.arrays(), tok, lengths, golds, cfg.k, cfg.alpha, grads,
     )
     _count_pairs(int(pair_evals))
     bsz = len(batch)
@@ -177,7 +164,7 @@ def _run_pass(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig):
         total = cfg.alpha * ce + (1.0 - cfg.alpha) * div
         selected = tuple(tuple(int(d) for d in row) for row in topk)
         breakdown = LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=selected)
-    return breakdown, Gradients(*grad_arrays)
+    return breakdown, grads
 
 
 def total_loss(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> LossBreakdown:
@@ -186,14 +173,14 @@ def total_loss(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> L
     return breakdown
 
 
-def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, Gradients]:
+def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:
+    """Loss and its gradients, laid out as parameters."""
     cfg.validate()
     breakdown, grads = _run_pass(p, batch, cfg)
     if not math.isfinite(breakdown.total):
         raise NonFiniteGradient("loss is not finite")
-    for arr in grads.arrays():
-        if not np.isfinite(arr).all():
-            raise NonFiniteGradient("gradient is not finite")
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteGradient("gradient is not finite")
     return breakdown, grads
 
 
@@ -201,37 +188,35 @@ def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tup
 class OptimizerState:
     kind: str
     step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray | None = None  # Adam moments, laid out like ModelParams.flat
+    v: np.ndarray | None = None
 
 
 def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
     state = OptimizerState(kind=cfg.optimizer)
     if cfg.optimizer == "adam":
-        state.m = [np.zeros_like(a) for a in p.arrays()]
-        state.v = [np.zeros_like(a) for a in p.arrays()]
+        state.m = np.zeros_like(p.flat)
+        state.v = np.zeros_like(p.flat)
     return state
 
 
-def step(p: ModelParams, g: Gradients, state: OptimizerState, cfg: TrainConfig) -> ModelParams:
+def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig) -> ModelParams:
     """Apply one optimizer update in place and return the params."""
-    for pa, ga in zip(p.arrays(), g.arrays()):
-        if pa.shape != ga.shape:
-            raise ShapeMismatch(f"gradient shape {ga.shape} != param shape {pa.shape}")
+    if g.dims != p.dims:
+        raise ShapeMismatch(f"gradient dims {g.dims} != param dims {p.dims}")
     if state.kind == "sgd":
-        for pa, ga in zip(p.arrays(), g.arrays()):
-            pa -= cfg.lr * ga
+        p.flat -= cfg.lr * g.flat
     elif state.kind == "adam":
         state.step_count += 1
         t = state.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        for pa, ga, m, v in zip(p.arrays(), g.arrays(), state.m, state.v):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * ga
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * ga * ga
-            pa -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v = state.m, state.v
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g.flat
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g.flat * g.flat
+        p.flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     else:
         raise InvalidConfig(f"unknown optimizer {state.kind!r}")
     return p

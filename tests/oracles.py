@@ -19,8 +19,8 @@ def oracle_selection(logits, k: int) -> list[int]:
     return order[:k]
 
 
-def oracle_example_loss(arrays, tokens, gold, k, want_div, selection=None):
-    """(ce, div, selection) for one example; naive end-to-end recompute."""
+def oracle_logits(arrays, tokens) -> list[float]:
+    """Logits over all docids for one query, from the defining formulas."""
     embed, hidden_w, hidden_b, cls_w, cls_b = arrays
     dim = embed.shape[1]
     n = cls_w.shape[0]
@@ -31,7 +31,13 @@ def oracle_example_loss(arrays, tokens, gold, k, want_div, selection=None):
             pooled[c] += embed[t, c]
     pooled = [x / len(tokens) for x in pooled]
     act = [math.tanh(hidden_b[c] + sum(hidden_w[c, j] * pooled[j] for j in range(dim))) for c in range(dim)]
-    logits = [cls_b[r] + sum(cls_w[r, j] * act[j] for j in range(dim)) for r in range(n)]
+    return [cls_b[r] + sum(cls_w[r, j] * act[j] for j in range(dim)) for r in range(n)]
+
+
+def oracle_example_loss(arrays, tokens, gold, k, want_div, selection=None):
+    """(ce, div, selection) for one example; naive end-to-end recompute."""
+    cls_w = arrays[3]
+    logits = oracle_logits(arrays, tokens)
     zmax = max(logits)
     exps = [math.exp(z - zmax) for z in logits]
     denom = sum(exps)
@@ -102,21 +108,9 @@ def selection_gap(arrays, batch, k) -> float:
     Instances with a tiny gap sit too close to a top-K flip for finite
     differences to be meaningful; callers screen on this.
     """
-    embed, hidden_w, hidden_b, cls_w, cls_b = arrays
-    dim = embed.shape[1]
-    n = cls_w.shape[0]
     worst = math.inf
     for tokens, _gold in batch:
-        pooled = [0.0] * dim
-        for t in tokens:
-            for c in range(dim):
-                pooled[c] += embed[t, c]
-        pooled = [x / len(tokens) for x in pooled]
-        act = [math.tanh(hidden_b[c] + sum(hidden_w[c, j] * pooled[j] for j in range(dim))) for c in range(dim)]
-        logits = sorted(
-            (cls_b[r] + sum(cls_w[r, j] * act[j] for j in range(dim)) for r in range(n)),
-            reverse=True,
-        )
+        logits = sorted(oracle_logits(arrays, tokens), reverse=True)
         worst = min(worst, logits[k - 1] - logits[k])
     return worst
 

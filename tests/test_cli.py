@@ -124,7 +124,7 @@ def test_eval_outputs(workspace, tmp_path):
     out = tmp_path / "eval"
     code = main([
         "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
-        "--queries", str(data / "test.tsv"), "--cutoff", "4", "--alpha", "1.0",
+        "--queries", str(data / "test.tsv"), "--cutoff", "10", "--alpha", "1.0",
         "--dataset", "tiny", "--out", str(out),
     ])
     assert code == 0
@@ -135,7 +135,7 @@ def test_eval_outputs(workspace, tmp_path):
     table = (out / "report.txt").read_text()
     assert table.splitlines()[0].split()[0] == "Dataset"
     run_rows = read_run(out / "run.tsv")
-    assert run_rows and all(len(r.entries) == 4 for r in run_rows)
+    assert run_rows and all(len(r.entries) == 10 for r in run_rows)
 
 
 def test_eval_corrupt_checkpoint(workspace, tmp_path):
@@ -158,6 +158,31 @@ def test_eval_cutoff_too_large(workspace, tmp_path):
         "--queries", str(data / "test.tsv"), "--cutoff", "100", "--out", str(tmp_path / "e"),
     ])
     assert code == 2
+
+
+def test_eval_cutoff_below_report_depth(workspace, tmp_path):
+    # N = 12: the report's Hits@10 and MRR@10 need a run 10 deep
+    _, data, run = workspace
+    code = main([
+        "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--cutoff", "3", "--out", str(tmp_path / "e"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "e" / "report.tsv").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_eval_rejects_non_finite_checkpoint(workspace, tmp_path, value):
+    _, data, run = workspace
+    bad = tmp_path / "bad.bin"
+    blob = bytearray((run / "checkpoint.bin").read_bytes())
+    blob[20 + 4 * 5 : 20 + 4 * 6] = np.array([value], dtype="<f4").tobytes()
+    bad.write_bytes(bytes(blob))
+    code = main([
+        "eval", "--checkpoint", str(bad), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--out", str(tmp_path / "e"),
+    ])
+    assert code == 1
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +241,8 @@ def test_rerank_lambda_one_matches_eval_run_on_normalized_checkpoint(workspace, 
     eval_out = tmp_path / "eval"
     rerank_out = tmp_path / "rerank"
     base = ["--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "test.tsv")]
-    assert main(["eval", "--checkpoint", str(ckpt), *base, "--cutoff", "6", "--out", str(eval_out)]) == 0
-    assert main(["rerank", "--checkpoint", str(ckpt), *base, "--lambda", "1", "--m", "6", "--pool", "6", "--out", str(rerank_out)]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), *base, "--cutoff", "10", "--out", str(eval_out)]) == 0
+    assert main(["rerank", "--checkpoint", str(ckpt), *base, "--lambda", "1", "--m", "10", "--pool", "10", "--out", str(rerank_out)]) == 0
 
     eval_run = read_run(eval_out / "run.tsv")
     rerank_run = read_run(rerank_out / "run.tsv")
@@ -238,7 +263,7 @@ def test_report_merges_and_sorts(workspace, tmp_path, capsys):
         out = tmp_path / f"eval{alpha}"
         assert main([
             "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
-            "--queries", str(data / "test.tsv"), "--cutoff", "4", "--alpha", alpha,
+            "--queries", str(data / "test.tsv"), "--cutoff", "10", "--alpha", alpha,
             "--dataset", "synth", "--out", str(out),
         ]) == 0
         paths.append(str(out / "report.tsv"))
@@ -258,7 +283,7 @@ def test_report_single_row(workspace, tmp_path, capsys):
     out = tmp_path / "eval"
     assert main([
         "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
-        "--queries", str(data / "test.tsv"), "--cutoff", "4", "--out", str(out),
+        "--queries", str(data / "test.tsv"), "--cutoff", "10", "--out", str(out),
     ]) == 0
     capsys.readouterr()  # drain the eval table
     assert main(["report", str(out / "report.tsv")]) == 0

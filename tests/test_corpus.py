@@ -15,7 +15,7 @@ from ddsi.corpus import (
 )
 from ddsi.errors import (
     EmptyDocument,
-    GoldDocidOutOfRange,
+    GoldOutOfRange,
     InvalidConfig,
     MalformedLine,
     NonDenseDocids,
@@ -141,7 +141,7 @@ def test_load_queries_basic(tmp_path, tiny_corpus):
 def test_load_queries_gold_out_of_range(tmp_path, tiny_corpus):
     path = tmp_path / "q.tsv"
     path.write_text("q\t99\n")
-    with pytest.raises(GoldDocidOutOfRange):
+    with pytest.raises(GoldOutOfRange):
         load_queries(path, tiny_corpus)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddsi import kernels
-from ddsi.model import init_model
+from ddsi.model import ModelParams, init_model
 from ddsi.rng import Xoshiro256StarStar
 
 from oracles import oracle_lcs
@@ -59,7 +59,7 @@ def test_train_pass_ties_go_to_smaller_docids():
     tok, lengths = kernels.pack_token_matrix([[rng.randbelow(9) for _ in range(1 + i)] for i in range(bsz)])
     golds = np.arange(bsz, dtype=np.int64)
     for alpha in (0.0, 0.5):
-        out = kernels.train_pass(*params.arrays(), tok, lengths, golds, kk, alpha)
+        out = kernels.train_pass(*params.arrays(), tok, lengths, golds, kk, alpha, ModelParams.zeros(*params.dims))
         np.testing.assert_array_equal(out[3], np.tile(np.arange(kk), (bsz, 1)))
         assert out[2] == bsz * kk * (kk - 1) // 2
         assert out[1] == 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from ddsi.errors import InvalidConfig, ZeroVector
 from ddsi.mmr import MmrConfig, mmr_rerank, retrieve_then_rerank
-from ddsi.model import cosine, forward, init_model, top_k
+from ddsi.model import cosine, encode_query, forward, init_model, top_k
 from ddsi.rng import Xoshiro256StarStar
 
 from oracles import oracle_mmr
@@ -155,3 +155,26 @@ def test_rerank_pool_larger_than_corpus_rejected():
     p = init_model(12, 6, 9, 24)
     with pytest.raises(KOutOfRange):
         retrieve_then_rerank(p, [1], MmrConfig(lambda_=0.5, m=2, pool=10))
+
+
+def test_rerank_encodes_each_query_once(monkeypatch):
+    from ddsi import mmr
+
+    p = init_model(12, 6, 9, 25)
+    cfg = MmrConfig(lambda_=0.5, m=4, pool=7)
+    queries = [[1, 2, 3], [4], [5, 5, 11]]
+    # the plain two-step form: logits from forward(), the query vector encoded anew
+    expected = []
+    for tokens in queries:
+        candidates = [(d, p.cls_w[d]) for d in top_k(forward(p, tokens), cfg.pool).docids()]
+        expected.append(mmr_rerank(encode_query(p, tokens), candidates, cfg).entries)
+    calls = []
+
+    def counted(params, tokens):
+        calls.append(list(tokens))
+        return encode_query(params, tokens)
+
+    monkeypatch.setattr(mmr, "encode_query", counted)
+    got = [retrieve_then_rerank(p, tokens, cfg).entries for tokens in queries]
+    assert calls == queries
+    assert got == expected

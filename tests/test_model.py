@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -19,11 +20,11 @@ from ddsi.model import (
     forward,
     init_model,
     load_checkpoint,
-    op_trace_hash,
     save_checkpoint,
     softmax,
     top_k,
 )
+from ddsi.rng import Xoshiro256StarStar
 
 
 def test_init_deterministic():
@@ -31,6 +32,16 @@ def test_init_deterministic():
     b = init_model(10, 4, 5, 123)
     for x, y in zip(a.arrays(), b.arrays()):
         assert np.array_equal(x, y)
+
+
+def test_init_draws_embed_hidden_cls_row_major():
+    v, d, n, seed = 4, 3, 5, 11
+    p = init_model(v, d, n, seed)
+    rng = Xoshiro256StarStar(seed)
+    bound = 1.0 / np.sqrt(d)
+    for arr in (p.embed, p.hidden_w, p.cls_w):
+        assert arr.ravel().tolist() == [rng.uniform(-bound, bound) for _ in range(arr.size)]
+    assert not p.hidden_b.any() and not p.cls_b.any()
 
 
 def test_init_seed_changes_weights():
@@ -201,14 +212,6 @@ def test_cosine_symmetric(u, v):
     assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
 
 
-def test_op_trace_hash_ignores_values_not_dims():
-    a = init_model(10, 4, 5, 1)
-    b = init_model(10, 4, 5, 99)
-    c = init_model(10, 6, 5, 1)
-    assert op_trace_hash(a, [1, 2, 3]) == op_trace_hash(b, [4, 5, 6])
-    assert op_trace_hash(a, [1, 2, 3]) != op_trace_hash(c, [1, 2, 3])
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
@@ -225,6 +228,33 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert loaded.dims == p.dims
     # float32 storage: values agree to f32 precision
     np.testing.assert_allclose(loaded.embed, p.embed, atol=1e-6)
+
+
+def test_checkpoint_bytes_are_header_then_arrays_in_canonical_order(tmp_path):
+    v, d, n = 5, 3, 4
+    p = init_model(v, d, n, 0)
+    start = 0
+    for arr in p.arrays():
+        # distinct values, each exact in f32
+        arr[...] = (np.arange(start, start + arr.size).reshape(arr.shape) - 20) * 0.125
+        start += arr.size
+    path = tmp_path / "c.bin"
+    save_checkpoint(p, path)
+    body = b"".join(a.astype("<f4").tobytes() for a in (p.embed, p.hidden_w, p.hidden_b, p.cls_w, p.cls_b))
+    assert path.read_bytes() == b"DDSI" + struct.pack("<IIII", 1, v, d, n) + body
+    for got, want in zip(load_checkpoint(path).arrays(), p.arrays()):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 17, -1])
+def test_checkpoint_rejects_non_finite(tmp_path, value, index):
+    p = init_model(6, 3, 4, 0)
+    p.flat[index] = value
+    path = tmp_path / "bad.bin"
+    save_checkpoint(p, path)
+    with pytest.raises(CheckpointVersionMismatch, match="non-finite"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_same_params_same_bytes(tmp_path):
@@ -263,11 +293,20 @@ def test_checkpoint_truncated(tmp_path):
 
 
 def test_model_params_shape_validation():
+    v, d, n = 4, 3, 5
+    size = v * d + d * d + d + n * d + n
+    assert ModelParams(np.zeros(size), v, d, n).param_count() == size
     with pytest.raises(InvalidDims):
-        ModelParams(
-            embed=np.zeros((4, 3)),
-            hidden_w=np.zeros((3, 3)),
-            hidden_b=np.zeros(2),
-            cls_w=np.zeros((5, 3)),
-            cls_b=np.zeros(5),
-        )
+        ModelParams(np.zeros(size - 1), v, d, n)
+    with pytest.raises(InvalidDims):
+        ModelParams(np.zeros(size, dtype=np.float32), v, d, n)
+
+
+def test_model_params_arrays_are_views_of_flat():
+    p = init_model(4, 3, 5, 0)
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for a in p.arrays()]), p.flat)
+    p.cls_w[2] = 100.0
+    assert (p.flat == 100.0).sum() == 3
+    q = p.copy()
+    q.flat[:] = 0.0
+    assert (p.flat == 100.0).sum() == 3

@@ -9,14 +9,12 @@ from ddsi.errors import (
     EmptyQuery,
     GoldOutOfRange,
     InvalidConfig,
-    KTooSmall,
     NonFiniteGradient,
     ShapeMismatch,
 )
-from ddsi.model import init_model
+from ddsi.model import ModelParams, init_model
 from ddsi.rng import Xoshiro256StarStar
 from ddsi.train import (
-    Gradients,
     TrainConfig,
     backward,
     cross_entropy,
@@ -130,7 +128,7 @@ def test_diversity_mixed_triplet():
 
 def test_diversity_k_too_small():
     params = init_model(V, D, N, 0)
-    with pytest.raises(KTooSmall):
+    with pytest.raises(InvalidConfig):
         diversity_term(params, [0])
 
 
@@ -285,7 +283,7 @@ def test_k_must_fit_corpus():
 
 
 def zero_grads(params):
-    return Gradients(*(np.zeros_like(a) for a in params.arrays()))
+    return ModelParams.zeros(*params.dims)
 
 
 def test_step_zero_gradient_is_identity():
@@ -300,7 +298,7 @@ def test_step_sgd_full_cancel():
     params, _, cfg = make_instance(41, 1.0)
     cfg.optimizer = "sgd"
     cfg.lr = 1.0
-    grads = Gradients(*(a.copy() for a in params.arrays()))
+    grads = params.copy()
     step(params, grads, init_optimizer_state(params, cfg), cfg)
     for arr in params.arrays():
         assert np.all(arr == 0.0)
@@ -320,8 +318,7 @@ def test_step_deterministic():
 
 def test_step_shape_mismatch():
     params, _, cfg = make_instance(43, 1.0)
-    grads = zero_grads(params)
-    grads.cls_b = np.zeros(N + 1)
+    grads = ModelParams.zeros(V, D, N + 1)
     with pytest.raises(ShapeMismatch):
         step(params, grads, init_optimizer_state(params, cfg), cfg)
 
@@ -333,8 +330,10 @@ def test_adam_matches_reference_two_steps():
     g1 = np.full_like(theta0, 0.5)
     g2 = np.full_like(theta0, -0.25)
     state = init_optimizer_state(params, cfg)
-    step(params, Gradients(*(np.zeros_like(a) if i != 2 else g1 for i, a in enumerate(params.arrays()))), state, cfg)
-    step(params, Gradients(*(np.zeros_like(a) if i != 2 else g2 for i, a in enumerate(params.arrays()))), state, cfg)
+    for g in (g1, g2):
+        grads = zero_grads(params)
+        grads.hidden_b[:] = g
+        step(params, grads, state, cfg)
 
     b1, b2, eps = 0.9, 0.999, 1e-8
     m = v = 0.0
