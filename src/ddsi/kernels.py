@@ -3,7 +3,7 @@
 The query encoder and the top-K row cosine have one implementation
 each here, shared by training, scoring and the diversity term. Two
 inner loops dominate runtime: the fused per-batch forward/backward pass
-of training, and the LCS dynamic program behind the pairwise ROUGE-L
+of training, and the bit-parallel LCS behind the pairwise ROUGE-L
 homogenization metric.
 """
 
@@ -17,40 +17,106 @@ _PROB_FLOOR = 1e-12
 # ---------------------------------------------------------------------------
 # LCS lengths for many token-sequence pairs
 # ---------------------------------------------------------------------------
+#
+# Bit-parallel LCS (Allison & Dix 1986, in Hyyro's 2004 formulation).
+# Row b of a pair is a bit vector V of len(b) bits, all ones at the start;
+# each token a_i of row a does
+#     U = V & M[a_i];  V = (V + U) | (V - U)
+# where M[t] has bit j set iff b[j] == t, and the LCS length is the number
+# of zero bits of V. V - U never borrows because U is a subset of V, so it
+# is V ^ U; only the addition carries from one 64-bit word to the next.
+# Bits at or past len(b) have no match and so stay one: counting the zeros
+# of every word counts those of the first len(b) bits.
+#
+# All pairs step together, sorted by len(a) so that the pairs still going
+# are a prefix. Each step looks its masks up in a dense (b-row, token)
+# slot table; the pairs are cut into blocks of b-rows so that the table
+# never has more than _SLOT_CELLS cells. Working memory is O(pairs x
+# words) plus that table, whatever the row length.
+
+_SLOT_CELLS = 1 << 20
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
 def lcs_lengths_pairs(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """LCS length for each (pa[i], pb[i]) row pair of a padded token matrix.
 
-    tok is (num_seqs, max_len) int64 padded with -1; lengths gives the
-    valid prefix of each row.
+    tok is (num_seqs, max_len) int64 padded with any value past each row's
+    length (pack_token_matrix pads with -1); lengths gives the valid prefix
+    of each row.
     """
-    tok = np.ascontiguousarray(tok, dtype=np.int64)
-    lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-    pa = np.ascontiguousarray(pa, dtype=np.int64)
-    pb = np.ascontiguousarray(pb, dtype=np.int64)
-    # Row-sweep DP, vectorized across all pairs at once. The usual
-    # serial-in-j recurrence is replaced by
-    #   cand[j] = max(prev[j], prev[j-1] + eq[j]);  row = cummax(cand)
-    # which is equivalent because neighboring LCS cells differ by at most 1.
-    npairs = pa.shape[0]
-    if npairs == 0:
-        return np.zeros(0, dtype=np.int64)
+    tok = np.asarray(tok, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    pa = np.asarray(pa, dtype=np.int64)
+    pb = np.asarray(pb, dtype=np.int64)
+    ids, ntok = dense_token_ids(tok, lengths)
+    if pa.shape[0] == 0 or ntok == 0:
+        return np.zeros(pa.shape[0], dtype=np.int64)
+    # LCS is symmetric: each unordered row pair is computed once
+    nrows = tok.shape[0]
+    pair_keys, back = np.unique(np.minimum(pa, pb) * nrows + np.maximum(pa, pb), return_inverse=True)
+    pa, pb = pair_keys // nrows, pair_keys % nrows
+
+    out = np.empty(pa.shape[0], dtype=np.int64)
+    order = np.argsort(pb, kind="stable")
+    row_starts = np.flatnonzero(np.diff(pb[order], prepend=-1))
+    cuts = row_starts[:: max(1, _SLOT_CELLS // ntok)].tolist() + [pa.shape[0]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        sel = order[lo:hi]
+        out[sel] = _lcs_block(ids, lengths, pa[sel], pb[sel], ntok)
+    return out[back]
+
+
+def _lcs_block(ids, lengths, pa, pb, ntok) -> np.ndarray:
+    """Bit-parallel LCS of pairs whose b-rows share one slot table."""
     la = lengths[pa]
-    lb = lengths[pb]
-    lb_max = int(lb.max())
-    la_max = int(la.max())
-    b_tok = tok[pb, :lb_max]
-    row = np.zeros((npairs, lb_max + 1), dtype=np.int64)
-    j_valid = np.arange(lb_max)[None, :] < lb[:, None]
-    for i in range(la_max):
-        active = i < la
-        a_tok = tok[pa, i]
-        eq = ((b_tok == a_tok[:, None]) & j_valid).astype(np.int64)
-        cand = np.maximum(row[:, 1:], row[:, :-1] + eq)
-        np.maximum.accumulate(cand, axis=1, out=cand)
-        row[active, 1:] = cand[active]
-    return row[np.arange(npairs), lb]
+    nwords = (int(lengths[pb].max()) + 63) // 64
+    if nwords == 0 or la.max() == 0:
+        return np.zeros(pa.shape[0], dtype=np.int64)
+
+    # match masks: slots[local b-row * ntok + t] is 0 (no match) or a column of masks
+    b_rows, b_local = np.unique(pb, return_inverse=True)
+    r, j = np.nonzero(np.arange(nwords * 64)[None, :] < lengths[b_rows][:, None])
+    keys, col = np.unique(r * ntok + ids[b_rows[r], j], return_inverse=True)
+    slots = np.zeros(b_rows.shape[0] * ntok, dtype=np.int32)
+    slots[keys] = np.arange(1, keys.shape[0] + 1)
+    masks = np.zeros((nwords, keys.shape[0] + 1), dtype=np.uint64)
+    np.bitwise_or.at(masks, (j >> 6, col + 1), np.left_shift(np.uint64(1), (j & 63).astype(np.uint64)))
+
+    # longest a first, so the pairs still stepping are a prefix
+    by_len = np.argsort(-la, kind="stable")
+    a_start = pa[by_len] * ids.shape[1]
+    b_base = b_local[by_len] * ntok
+    ids_flat = ids.ravel()
+    still = np.searchsorted(-la[by_len], -np.arange(int(la.max())), side="left")
+    v = np.full((nwords, pa.shape[0]), np.uint64(0xFFFFFFFFFFFFFFFF))
+    for i, n in enumerate(still.tolist()):
+        vi = v[:, :n]
+        u = masks.take(slots.take(b_base[:n] + ids_flat.take(a_start[:n] + i)), axis=1)
+        u &= vi
+        s = vi + u
+        carry = s < vi
+        for w in range(1, nwords):
+            s[w] += carry[w - 1]
+            carry[w] |= carry[w - 1] & (s[w] == 0)
+        vi ^= u
+        vi |= s
+    ones = _BYTE_POPCOUNT[v.view(np.uint8)].reshape(nwords, -1, 8).sum(axis=(0, 2), dtype=np.int64)
+    out = np.empty(pa.shape[0], dtype=np.int64)
+    out[by_len] = nwords * 64 - ones
+    return out
+
+
+def dense_token_ids(tok: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber the tokens of a padded matrix 0..ntok-1 in value order.
+
+    Returns (ids, ntok): ids has tok's shape, with -1 past each row's
+    length, so token values of any size can index dense tables.
+    """
+    valid = np.arange(tok.shape[1])[None, :] < lengths[:, None]
+    ids = np.full(tok.shape, -1, dtype=np.int64)
+    values, ids[valid] = np.unique(tok[valid], return_inverse=True)
+    return ids, values.shape[0]
 
 
 def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:

@@ -86,19 +86,41 @@ def lcs_len(a, b) -> int:
     return int(out[0])
 
 
-def _rouge_f1(lcs: int, len_a: int, len_b: int) -> float:
-    if lcs == 0:
-        return 0.0
+def _rouge_f1(lcs, len_a, len_b) -> np.ndarray:
+    """F1 of each pair, 2pr/(p+r) with p = lcs/len_b and r = lcs/len_a; 0 where lcs is 0."""
+    lcs = np.asarray(lcs)
     precision = lcs / len_b
     recall = lcs / len_a
-    return 2.0 * precision * recall / (precision + recall)
+    f1 = np.zeros(lcs.shape, dtype=np.float64)
+    np.divide(2.0 * precision * recall, precision + recall, out=f1, where=lcs > 0)
+    return f1
 
 
 def rouge_l(a, b) -> float:
     """LCS-based F1 between two token sequences."""
     if len(a) == 0 or len(b) == 0:
         raise EmptyDocument("<rouge input>")
-    return _rouge_f1(lcs_len(a, b), len(a), len(b))
+    return float(_rouge_f1(lcs_len(a, b), len(a), len(b)))
+
+
+def _homogenization_sets(tok, lengths, sets) -> list[float]:
+    """Mean pairwise ROUGE-L of each set of two or more rows, in set order.
+
+    sets holds arrays of row indices into the packed (tok, lengths); the
+    pairs of every set go to one LCS kernel call.
+    """
+    firsts, seconds = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for rows in sets:
+        if len(rows) >= 2:
+            i, j = np.triu_indices(len(rows), k=1)
+            firsts.append(rows[i])
+            seconds.append(rows[j])
+    pa, pb = np.concatenate(firsts), np.concatenate(seconds)
+    if (lengths[pa] == 0).any() or (lengths[pb] == 0).any():
+        raise EmptyDocument("<homogenization input>")
+    f1 = _rouge_f1(kernels.lcs_lengths_pairs(tok, lengths, pa, pb), lengths[pa], lengths[pb])
+    bounds = np.cumsum([len(rows) for rows in firsts]).tolist()
+    return [float(np.mean(f1[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def homogenization(docs) -> float:
@@ -106,33 +128,47 @@ def homogenization(docs) -> float:
     docs = [list(d) for d in docs]
     if len(docs) < 2:
         raise TooFewDocs(f"homogenization needs >= 2 documents, got {len(docs)}")
-    for d in docs:
-        if not d:
-            raise EmptyDocument("<homogenization input>")
     tok, lengths = kernels.pack_token_matrix(docs)
-    n = len(docs)
-    pa, pb = np.triu_indices(n, k=1)
-    lcs = kernels.lcs_lengths_pairs(tok, lengths, pa, pb)
-    scores = [_rouge_f1(int(l), len(docs[i]), len(docs[j])) for l, i, j in zip(lcs, pa, pb)]
-    return float(np.mean(scores))
+    return _homogenization_sets(tok, lengths, [np.arange(len(docs))])[0]
+
+
+def _ngd_sets(tok, lengths, sets) -> np.ndarray:
+    """N-gram diversity of each set of rows: the sum over n = 1..4 of
+    unique/total n-grams, pooled over the set's rows.
+
+    Each row's n-grams get integer ids once, shared by every set: an
+    (n+1)-gram's id numbers the distinct (n-gram id, next token) pairs.
+    """
+    members = np.concatenate(sets)
+    owner = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
+    if (np.bincount(owner, weights=lengths[members], minlength=len(sets)) == 0).any():
+        raise EmptyInput("no tokens for n-gram diversity")
+    token_ids, ntok = kernels.dense_token_ids(tok, lengths)
+    gram_ids, ngrams = token_ids, ntok
+    score = np.zeros(len(sets), dtype=np.float64)
+    for n in range(1, 5):
+        if n > 1:
+            ends = token_ids[:, n - 1 :]
+            keys = gram_ids[:, : ends.shape[1]] * ntok + ends
+            gram_ids = np.full(ends.shape, -1, dtype=np.int64)
+            uniq, gram_ids[ends >= 0] = np.unique(keys[ends >= 0], return_inverse=True)
+            ngrams = uniq.shape[0]
+        total = np.bincount(owner, weights=np.maximum(lengths[members] - n + 1, 0), minlength=len(sets))
+        grams = gram_ids[members]
+        keys = np.sort((owner[:, None] * ngrams + grams)[grams >= 0])
+        first = np.diff(keys, prepend=-1) != 0
+        distinct = np.bincount(keys[first] // max(ngrams, 1), minlength=len(sets))
+        score += np.where(total > 0, distinct / np.maximum(total, 1), 0.0)
+    return score
 
 
 def ngd(docs) -> float:
     """Sum over n=1..4 of unique/total n-gram ratios, pooled over docs."""
-    docs = [tuple(d) for d in docs]
-    if not docs or all(len(d) == 0 for d in docs):
+    docs = [list(d) for d in docs]
+    if not docs:
         raise EmptyInput("no tokens for n-gram diversity")
-    score = 0.0
-    for n in range(1, 5):
-        total = 0
-        seen = set()
-        for d in docs:
-            for i in range(len(d) - n + 1):
-                seen.add(d[i : i + n])
-                total += 1
-        if total > 0:
-            score += len(seen) / total
-    return score
+    tok, lengths = kernels.pack_token_matrix(docs)
+    return float(_ngd_sets(tok, lengths, [np.arange(len(docs))])[0])
 
 
 def compression_ratio(texts) -> float:
@@ -162,16 +198,13 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
             if not 0 <= docid < len(docs):
                 raise EmptyInput(f"run references unknown docid {docid}")
 
-    hom_vals: list[float] = []
-    ngd_vals: list[float] = []
-    cr_vals: list[float] = []
-    for ranking in run.rankings:
-        retrieved = [docs[docid] for docid, _ in ranking.entries]
-        token_sets = [d.tokens for d in retrieved]
-        if len(retrieved) >= 2:
-            hom_vals.append(homogenization(token_sets))
-        ngd_vals.append(ngd(token_sets))
-        cr_vals.append(compression_ratio([d.body for d in retrieved]))
+    docids = sorted({docid for ranking in run.rankings for docid, _ in ranking.entries})
+    row_of = {docid: row for row, docid in enumerate(docids)}
+    tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
+    sets = [np.array([row_of[docid] for docid, _ in ranking.entries], dtype=np.int64) for ranking in run.rankings]
+    hom_vals = _homogenization_sets(tok, lengths, sets)
+    ngd_vals = _ngd_sets(tok, lengths, sets)
+    cr_vals = [compression_ratio([docs[docid].body for docid, _ in ranking.entries]) for ranking in run.rankings]
 
     return MetricsReport(
         hits1=hits_at_k(run, 1),

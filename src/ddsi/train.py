@@ -222,9 +222,18 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
     return p
 
 
+HITS1_BLOCK = 1024
+
+
 def _train_hits1(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.ndarray) -> float:
-    logits = batch_logits(p, tok, lengths)
-    return float((logits.argmax(axis=1) == golds).mean())
+    """Hits@1 over all training queries, scored HITS1_BLOCK queries at a time
+    so that the logits never take more than HITS1_BLOCK x N floats."""
+    hits = 0
+    for start in range(0, tok.shape[0], HITS1_BLOCK):
+        block = slice(start, start + HITS1_BLOCK)
+        logits = batch_logits(p, tok[block], lengths[block])
+        hits += int((logits.argmax(axis=1) == golds[block]).sum())
+    return hits / tok.shape[0]
 
 
 def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:

@@ -126,6 +126,17 @@ def oracle_lcs(a, b) -> int:
     return table[len(a)][len(b)]
 
 
+def oracle_ngd(docs) -> float:
+    """Sum over n = 1..4 of distinct/total n-grams pooled over docs; an
+    n-gram never spans two docs, and a level with no n-grams adds nothing."""
+    score = 0.0
+    for n in range(1, 5):
+        grams = [tuple(d[i : i + n]) for d in docs for i in range(len(d) - n + 1)]
+        if grams:
+            score += len(set(grams)) / len(grams)
+    return score
+
+
 def oracle_mmr(query_vec, candidates, lam, m) -> list[int]:
     """Brute-force greedy MMR: rescan every unselected candidate each step."""
 

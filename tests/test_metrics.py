@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddsi.corpus import SyntheticConfig, generate_synthetic
 from ddsi.errors import (
     ColumnMismatch,
     EmptyDocument,
@@ -32,7 +33,7 @@ from ddsi.model import RankedList, init_model
 from ddsi.rng import Xoshiro256StarStar
 from ddsi.train import TrainConfig, train
 
-from oracles import oracle_lcs
+from oracles import oracle_lcs, oracle_ngd
 
 
 def run_with_gold_ranks(ranks, depth=10):
@@ -171,6 +172,15 @@ def test_homogenization_mixed_third():
     assert homogenization([[1], [1], [2]]) == pytest.approx(1 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_homogenization_is_np_mean_of_pairwise_rouge(seed):
+    # up to 190 pairs of unequal rows: np.mean sums pairwise, and a running sum would differ
+    rng = Xoshiro256StarStar(seed)
+    docs = [[rng.randbelow(5) for _ in range(1 + rng.randbelow(150))] for _ in range(2 + rng.randbelow(19))]
+    pairs = [(i, j) for i in range(len(docs)) for j in range(i + 1, len(docs))]
+    assert homogenization(docs) == float(np.mean([rouge_l(docs[i], docs[j]) for i, j in pairs]))
+
+
 def test_homogenization_too_few():
     with pytest.raises(TooFewDocs):
         homogenization([[1, 2]])
@@ -217,6 +227,12 @@ def test_ngd_empty_rejected():
 def test_ngd_range(docs):
     value = ngd(docs)
     assert 0.0 < value <= 4.0
+
+
+@settings(max_examples=60)
+@given(st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=12), min_size=1, max_size=5).filter(lambda ds: any(ds)))
+def test_ngd_matches_oracle(docs):
+    assert ngd(docs) == oracle_ngd(docs)
 
 
 def test_compression_ratio_repetitive_vs_random():
@@ -354,3 +370,30 @@ def test_report_from_run_rejects_unknown_docid(small_world):
     run = EvalRun(rankings=[RankedList(qid=0, entries=[(corpus.num_docs + 5, 1.0)])], golds=[0])
     with pytest.raises(EmptyInput):
         report_from_run(run, corpus)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SyntheticConfig(num_topics=1, docs_per_topic=1, queries_per_doc=3, seed=3),
+        SyntheticConfig(num_topics=1, docs_per_topic=3, doc_len=70, query_len=10, seed=5),
+        SyntheticConfig(),
+        SyntheticConfig(num_topics=4, docs_per_topic=6, doc_len=160, vocab_per_topic=120, seed=9),
+    ],
+    ids=["n1", "n3", "standard", "long-docs"],
+)
+def test_report_from_run_equals_per_set_functions(cfg):
+    corpus, train_q, test_q = generate_synthetic(cfg)
+    queries = test_q or train_q
+    params = init_model(corpus.vocab.size, 16, corpus.num_docs, 2)
+    run = run_queries(params, queries, cutoff=min(10, corpus.num_docs))
+    # one ranking short of the cutoff, so sets of different sizes mix
+    run.rankings[0].entries = run.rankings[0].entries[:1]
+    report = report_from_run(run, corpus)
+    sets = [[corpus.documents[docid].tokens for docid, _ in r.entries] for r in run.rankings]
+    multi = [s for s in sets if len(s) >= 2]
+    if corpus.num_docs == 1:
+        assert report.rouge_l_hom is None and not multi
+    else:
+        assert report.rouge_l_hom == float(np.mean([homogenization(s) for s in multi]))
+    assert report.ngd == float(np.mean([ngd(s) for s in sets]))

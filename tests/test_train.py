@@ -1,8 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+from ddsi import kernels
 from ddsi import train as train_mod
 from ddsi.corpus import QueryExample
 from ddsi.errors import (
@@ -12,7 +14,7 @@ from ddsi.errors import (
     NonFiniteGradient,
     ShapeMismatch,
 )
-from ddsi.model import ModelParams, init_model
+from ddsi.model import ModelParams, batch_logits, init_model
 from ddsi.rng import Xoshiro256StarStar
 from ddsi.train import (
     TrainConfig,
@@ -387,6 +389,22 @@ def test_train_nonfinite_diagnostic_names_epoch(small_world):
     cfg = TrainConfig(alpha=1.0, k=5, epochs=2, batch_size=16, seed=3, optimizer="sgd", lr=1e300)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient, match=r"epoch \d+ batch \d+"):
         train(corpus, train_q, cfg)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_train_hits1_blocks_match_one_shot(monkeypatch, block):
+    train_module = importlib.import_module("ddsi.train")  # the package's `train` is the function
+    if block is not None:
+        monkeypatch.setattr(train_module, "HITS1_BLOCK", block)
+    params = init_model(40, 8, 25, 4)
+    rng = Xoshiro256StarStar(12)
+    num = 2 * train_module.HITS1_BLOCK + 37
+    tok, lengths = kernels.pack_token_matrix([[rng.randbelow(40) for _ in range(1 + rng.randbelow(9))] for _ in range(num)])
+    logits = batch_logits(params, tok, lengths)
+    # about half the golds are the top docid, so the count is not trivially 0 or num
+    golds = np.array([logits[i].argmax() if i % 2 else rng.randbelow(25) for i in range(num)], dtype=np.int64)
+    assert num > train_module.HITS1_BLOCK
+    assert train_module._train_hits1(params, tok, lengths, golds) == float((logits.argmax(axis=1) == golds).mean())
 
 
 def test_write_history(tmp_path):
