@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__, metrics
 from .corpus import SyntheticConfig, generate_synthetic, load_corpus, load_queries, save_corpus, save_queries
-from .errors import ConfigError, DdsiError, InvalidConfig
+from .errors import ConfigError, DdsiError, InvalidConfig, ShapeMismatch
 from .mmr import MmrConfig, retrieve_then_rerank
 from .model import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train, write_history
@@ -61,6 +61,13 @@ def _out_dir(arg: str) -> Path:
     path = Path(arg)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _load_params(path: str, corpus):
+    params = load_checkpoint(path)
+    if (params.vocab_size, params.num_docs) != (corpus.vocab.size, corpus.num_docs):
+        raise ShapeMismatch(f"{path}: checkpoint dims {params.dims} do not fit V={corpus.vocab.size}, N={corpus.num_docs}")
+    return params
 
 
 def cmd_generate(args) -> int:
@@ -117,7 +124,7 @@ def cmd_eval(args) -> int:
     if args.cutoff < min(10, corpus.num_docs):
         raise InvalidConfig(f"--cutoff {args.cutoff} is below min(10, N={corpus.num_docs})")
     queries = load_queries(args.queries, corpus)
-    params = load_checkpoint(args.checkpoint)
+    params = _load_params(args.checkpoint, corpus)
     run = metrics.run_queries(params, queries, args.cutoff)
     report = metrics.report_from_run(run, corpus)
     dataset = args.dataset if args.dataset else Path(args.corpus).stem
@@ -138,8 +145,8 @@ def cmd_rerank(args) -> int:
     cfg.validate()
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
-    params = load_checkpoint(args.checkpoint)
-    rankings = [retrieve_then_rerank(params, q.tokens, cfg, qid=q.qid) for q in queries]
+    params = _load_params(args.checkpoint, corpus)
+    rankings = retrieve_then_rerank(params, queries, cfg)
     run = metrics.EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries])
     out = _out_dir(args.out)
     run_path = out / "run.tsv"

@@ -86,9 +86,6 @@ class Corpus:
     def num_docs(self) -> int:
         return len(self.documents)
 
-    def doc_token_lists(self) -> list[list[int]]:
-        return [d.tokens for d in self.documents]
-
 
 def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
     """Assemble a Corpus from (docid, title, body) rows; checks density."""

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-_PROB_FLOOR = 1e-12
+from .errors import KOutOfRange
+
+PROB_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +133,7 @@ def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Shared building blocks: query encoder and top-K row cosines
+# Shared building blocks: query encoder, top-K and top-K row cosines
 # ---------------------------------------------------------------------------
 
 
@@ -146,6 +148,14 @@ def encode(embed, hidden_w, hidden_b, tok, lengths) -> tuple[np.ndarray, np.ndar
     pooled = (embed[safe] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
     act = np.tanh(pooled @ hidden_w.T + hidden_b)
     return pooled, act
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores of each row, best first; ties go to the smaller index."""
+    n = scores.shape[-1]
+    if not 1 <= k <= n:
+        raise KOutOfRange(f"K={k} outside [1, {n}]")
+    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
 def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,8 +209,8 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
     probs /= probs.sum(axis=1, keepdims=True)
 
     p_gold = probs[np.arange(bsz), golds]
-    clamped = p_gold <= _PROB_FLOOR
-    ce_terms = -np.log(np.maximum(p_gold, _PROB_FLOOR))
+    clamped = p_gold <= PROB_FLOOR
+    ce_terms = -np.log(np.maximum(p_gold, PROB_FLOOR))
     ce_sum = float(ce_terms.sum())
 
     g_embed, g_hw, g_hb, g_cw, g_cb = grads.arrays()
@@ -226,7 +236,7 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
     if alpha < 1.0:
         npairs = kk * (kk - 1) // 2
         div_scale = (1.0 - alpha) / (bsz * npairs)
-        topk = np.argsort(-logits, axis=1, kind="stable")[:, :kk]
+        topk = top_k(logits, kk)
         unit, inv, cosines = pair_cosines(cls_w[topk])
         pair_evals = bsz * npairs
         for cos_sum in cosines.reshape(bsz, -1).sum(axis=1).tolist():

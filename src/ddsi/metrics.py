@@ -26,7 +26,8 @@ from .errors import (
     MalformedLine,
     TooFewDocs,
 )
-from .model import ModelParams, RankedList, batch_logits, top_k
+# batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
+from .model import ModelParams, RankedList, batch_logits, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
 
 
 @dataclass
@@ -183,9 +184,11 @@ def run_queries(p: ModelParams, queries: list[QueryExample], cutoff: int = 10) -
     """Forward + top-cutoff for every query."""
     if not queries:
         raise EmptyRun("no queries")
-    tok, lengths = kernels.pack_token_matrix([q.tokens for q in queries])
-    logits = batch_logits(p, tok, lengths)
-    rankings = [top_k(logits[i], cutoff, qid=q.qid) for i, q in enumerate(queries)]
+    tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
+    rankings = []
+    for block, _, logits in score_blocks(p, tok, lengths):
+        top = kernels.top_k(logits, cutoff)
+        rankings += ranked_lists([q.qid for q in queries[block]], top, np.take_along_axis(logits, top, axis=1))
     return EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries])
 
 

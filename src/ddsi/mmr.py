@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidConfig, ZeroVector
-# forward is unused here but stays importable: perfbench/layers.py wraps mmr.forward by name
-from .model import ModelParams, RankedList, encode_query, forward, rescale_exact, top_k  # noqa: F401
+# encode_query, forward and top_k stay importable only because perfbench/layers.py wraps them by name
+from .model import ModelParams, RankedList, encode_query, forward, pack_queries, ranked_lists, score_blocks, top_k, unit_rows  # noqa: F401
 
 
 @dataclass
@@ -37,49 +38,53 @@ class MmrConfig:
             raise InvalidConfig(f"candidate pool ({self.pool}) smaller than m ({self.m})")
 
 
+def _greedy(query_unit, docids, cand_unit, cfg: MmrConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy MMR stepping a stack of queries together: (B, d) unit query
+    vectors, (B, P) candidate docids in any order and their (B, P, d) unit
+    vectors give the (B, m) picked docids and their MMR scores at selection
+    time. Ties go to the smaller docid."""
+    if not (query_unit.any(axis=-1).all() and cand_unit.any(axis=-1).all()):
+        raise ZeroVector("MMR requires nonzero query and candidate vectors")
+    rows = np.arange(docids.shape[0])
+    rel = np.matmul(cand_unit, query_unit[:, :, None])[..., 0]
+    lam = cfg.lambda_
+    # max-similarity-to-selected is 0 only while nothing is selected, then the true max, maybe negative
+    max_sim = np.zeros(docids.shape)
+    selected = np.zeros(docids.shape, dtype=bool)
+    picked, picked_scores = [], []
+    for step in range(cfg.m):
+        scores = lam * rel - (1.0 - lam) * max_sim
+        scores[selected] = -np.inf
+        best_score = scores.max(axis=1, keepdims=True)
+        best = np.where(scores == best_score, docids, np.iinfo(np.int64).max).argmin(axis=1)
+        picked.append(docids[rows, best])
+        picked_scores.append(best_score[:, 0])
+        selected[rows, best] = True
+        sims = np.matmul(cand_unit, cand_unit[rows, best][:, :, None])[..., 0]
+        max_sim = sims if step == 0 else np.maximum(max_sim, sims)
+    return np.stack(picked, axis=1), np.stack(picked_scores, axis=1)
+
+
 def mmr_rerank(query_vec, candidates: list[tuple[int, np.ndarray]], cfg: MmrConfig, qid: int = -1) -> RankedList:
-    """Greedy MMR selection of cfg.m docids; ties go to the smaller docid."""
+    """Greedy MMR selection of cfg.m docids for one query; ties go to the smaller docid."""
     cfg.validate()
     if cfg.m > len(candidates):
         raise InvalidConfig(f"m={cfg.m} exceeds candidate count {len(candidates)}")
     docids = np.array([d for d, _ in candidates], dtype=np.int64)
     if len(set(docids.tolist())) != len(docids):
         raise InvalidConfig("candidate docids must be distinct")
-
-    q = rescale_exact(np.asarray(query_vec, dtype=np.float64))
-    qn = np.linalg.norm(q)
-    vecs = rescale_exact(np.array([v for _, v in candidates], dtype=np.float64))
-    norms = np.linalg.norm(vecs, axis=1)
-    if qn == 0.0 or (norms == 0.0).any():
-        raise ZeroVector("MMR requires nonzero query and candidate vectors")
-    unit = vecs / norms[:, None]
-    rel = unit @ (q / qn)
-
-    lam = cfg.lambda_
-    # max-similarity-to-selected is 0 only while nothing is selected; once
-    # R is non-empty the true max applies, which may be negative
-    max_sim = None
-    selected = np.zeros(len(candidates), dtype=bool)
-    entries: list[tuple[int, float]] = []
-    for _ in range(cfg.m):
-        penalty = max_sim if max_sim is not None else np.zeros(len(candidates))
-        scores = lam * rel - (1.0 - lam) * penalty
-        scores[selected] = -np.inf
-        best = int(np.lexsort((docids, -scores))[0])
-        entries.append((int(docids[best]), float(scores[best])))
-        selected[best] = True
-        sims = unit @ unit[best]
-        max_sim = sims if max_sim is None else np.maximum(max_sim, sims)
-    return RankedList(qid=qid, entries=entries)
+    vecs = unit_rows(np.array([v for _, v in candidates], dtype=np.float64))
+    return ranked_lists([qid], *_greedy(unit_rows(query_vec)[None], docids[None], vecs[None], cfg))[0]
 
 
-def retrieve_then_rerank(p: ModelParams, tokens, cfg: MmrConfig, qid: int = -1) -> RankedList:
-    """Top-pool retrieval by logits, then MMR over classifier-row vectors.
-
-    The query is encoded once; its logits are forward()'s expression.
-    """
+def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[RankedList]:
+    """Top-pool retrieval by logits, as in eval, then MMR over classifier-row
+    vectors, for every query; each block of queries is reranked together."""
     cfg.validate()
-    q = encode_query(p, tokens)
-    pool = top_k(p.cls_w @ q + p.cls_b, cfg.pool)
-    candidates = [(docid, p.cls_w[docid]) for docid in pool.docids()]
-    return mmr_rerank(q, candidates, cfg, qid=qid)
+    tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
+    doc_units = unit_rows(p.cls_w)
+    rankings = []
+    for block, act, logits in score_blocks(p, tok, lengths):
+        pool = kernels.top_k(logits, cfg.pool)
+        rankings += ranked_lists([q.qid for q in queries[block]], *_greedy(unit_rows(act), pool, doc_units[pool], cfg))
+    return rankings

@@ -19,7 +19,6 @@ from .errors import (
     CheckpointVersionMismatch,
     EmptyQuery,
     InvalidDims,
-    KOutOfRange,
     TokenOutOfRange,
     ZeroVector,
 )
@@ -98,6 +97,11 @@ class RankedList:
         return [d for d, _ in self.entries]
 
 
+def ranked_lists(qids, docids: np.ndarray, scores: np.ndarray) -> list[RankedList]:
+    """One RankedList per qid from rows of (queries, depth) docids and scores."""
+    return [RankedList(qid, list(zip(d, s))) for qid, d, s in zip(qids, docids.tolist(), scores.tolist())]
+
+
 def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:
     """Fresh parameters: weights ~ U(-1/sqrt(d), 1/sqrt(d)), biases zero.
 
@@ -114,19 +118,21 @@ def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:
     return p
 
 
-def _check_tokens(p: ModelParams, tokens) -> np.ndarray:
-    idx = np.asarray(tokens, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyQuery("query has no tokens")
-    if idx.min() < 0 or idx.max() >= p.vocab_size:
-        raise TokenOutOfRange(f"token index outside [0, {p.vocab_size})")
-    return idx
+def pack_queries(token_lists, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pad queries into kernels.encode's (tok, lengths), after checking that
+    each has a token and that every token is in [0, vocab_size)."""
+    tok, lengths = kernels.pack_token_matrix(token_lists)
+    if (lengths == 0).any():
+        raise EmptyQuery("every query needs at least one token")
+    valid = tok[np.arange(tok.shape[1])[None, :] < lengths[:, None]]
+    if valid.size and (valid.min() < 0 or valid.max() >= vocab_size):
+        raise TokenOutOfRange(f"token index outside [0, {vocab_size})")
+    return tok, lengths
 
 
 def encode_query(p: ModelParams, tokens) -> np.ndarray:
     """tanh(hidden_w @ mean token embedding + hidden_b) for one validated query."""
-    idx = _check_tokens(p, tokens)
-    _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, idx[None, :], np.array([idx.size]))
+    _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, *pack_queries([tokens], p.vocab_size))
     return act[0]
 
 
@@ -135,10 +141,24 @@ def forward(p: ModelParams, tokens) -> np.ndarray:
     return p.cls_w @ encode_query(p, tokens) + p.cls_b
 
 
+# Queries are scored in n // QUERY_BLOCK near-equal blocks (one when fewer).
+# No block is small, since BLAS may round a small product differently (OpenBLAS
+# does under about 77,000 multiply-adds: 18 queries through a 64-wide layer).
+QUERY_BLOCK = 20
+
+
+def score_blocks(p: ModelParams, tok: np.ndarray, lengths: np.ndarray):
+    """Yield (block slice, encoded queries, logits over all docids) per block of a padded batch."""
+    n = tok.shape[0]
+    count = max(1, n // QUERY_BLOCK)
+    for block in (slice(n * i // count, n * (i + 1) // count) for i in range(count)):
+        _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, tok[block], lengths[block])
+        yield block, act, act @ p.cls_w.T + p.cls_b
+
+
 def batch_logits(p: ModelParams, tok: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Vectorized forward for many queries; tok is padded with any value."""
-    _, act = kernels.encode(p.embed, p.hidden_w, p.hidden_b, tok, lengths)
-    return act @ p.cls_w.T + p.cls_b
+    return np.concatenate([logits for _, _, logits in score_blocks(p, tok, lengths)])
 
 
 def softmax(logits) -> np.ndarray:
@@ -151,31 +171,24 @@ def softmax(logits) -> np.ndarray:
 def top_k(logits, k: int, qid: int = -1) -> RankedList:
     """K highest-scoring docids; ties go to the smaller docid."""
     z = np.asarray(logits, dtype=np.float64)
-    n = z.shape[0]
-    if not 1 <= k <= n:
-        raise KOutOfRange(f"K={k} outside [1, {n}]")
-    order = np.lexsort((np.arange(n), -z))[:k]
-    return RankedList(qid=qid, entries=[(int(i), float(z[i])) for i in order])
+    return RankedList(qid=qid, entries=[(int(i), float(z[i])) for i in kernels.top_k(z, k)])
 
 
-def rescale_exact(x: np.ndarray) -> np.ndarray:
-    """x times a power of two that brings each row's largest |entry| into [0.5, 1).
-
-    The scaling is exact, so cosines in the normal range keep their
-    bits, while squared norms of tiny vectors no longer underflow to
-    subnormals (which pushed cosines above 1). Zero rows stay zero.
-    """
-    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
+def unit_rows(x) -> np.ndarray:
+    """x scaled to unit length along its last axis; zero rows stay zero. Rows are
+    first scaled exactly, by the power of two that brings the largest |entry| into
+    [0.5, 1), so squared norms of tiny vectors do not underflow to subnormals."""
+    x = np.asarray(x, dtype=np.float64)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 
 def cosine(u, v) -> float:
-    u = rescale_exact(np.asarray(u, dtype=np.float64))
-    v = rescale_exact(np.asarray(v, dtype=np.float64))
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    u, v = unit_rows(u), unit_rows(v)
+    if not (u.any() and v.any()):
         raise ZeroVector("cosine undefined for zero-norm vector")
-    return float(u @ v / (nu * nv))
+    return float(u @ v)
 
 
 def save_checkpoint(p: ModelParams, path) -> None:

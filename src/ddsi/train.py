@@ -22,17 +22,14 @@ import numpy as np
 from . import kernels
 from .corpus import Corpus, QueryExample
 from .errors import (
-    EmptyQuery,
     GoldOutOfRange,
     InvalidConfig,
     NonFiniteGradient,
     ShapeMismatch,
-    TokenOutOfRange,
 )
-from .model import ModelParams, batch_logits, init_model
+# batch_logits stays importable only because perfbench/layers.py wraps it by name
+from .model import ModelParams, batch_logits, init_model, pack_queries, score_blocks  # noqa: F401
 from .rng import Xoshiro256StarStar, mix_seed
-
-PROB_FLOOR = 1e-12
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -108,7 +105,7 @@ def cross_entropy(probs, gold: int) -> float:
     p = np.asarray(probs, dtype=np.float64)
     if not 0 <= gold < p.shape[0]:
         raise GoldOutOfRange(f"gold docid {gold} outside [0, {p.shape[0]})")
-    return float(-math.log(max(float(p[gold]), PROB_FLOOR)))
+    return float(-math.log(max(float(p[gold]), kernels.PROB_FLOOR)))
 
 
 def diversity_term(p: ModelParams, topk) -> float:
@@ -129,22 +126,11 @@ def diversity_term(p: ModelParams, topk) -> float:
     return float(cosines.sum()) / 2.0 / npairs
 
 
-def _pack_batch(batch: list[QueryExample], vocab_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _run_pass(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig):
     if not batch:
         raise InvalidConfig("batch must be non-empty")
-    tok, lengths = kernels.pack_token_matrix([q.tokens for q in batch])
-    if (lengths == 0).any():
-        raise EmptyQuery("every query in a batch needs at least one token")
-    valid = np.arange(tok.shape[1])[None, :] < lengths[:, None]
-    vals = tok[valid]
-    if vals.min() < 0 or vals.max() >= vocab_size:
-        raise TokenOutOfRange(f"token index outside [0, {vocab_size})")
+    tok, lengths = pack_queries([q.tokens for q in batch], p.vocab_size)
     golds = np.array([q.gold_docid for q in batch], dtype=np.int64)
-    return tok, lengths, golds
-
-
-def _run_pass(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig):
-    tok, lengths, golds = _pack_batch(batch, p.vocab_size)
     n = p.num_docs
     if golds.min() < 0 or golds.max() >= n:
         raise GoldOutOfRange(f"gold docid outside [0, {n})")
@@ -222,16 +208,11 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
     return p
 
 
-HITS1_BLOCK = 1024
-
-
 def _train_hits1(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.ndarray) -> float:
-    """Hits@1 over all training queries, scored HITS1_BLOCK queries at a time
-    so that the logits never take more than HITS1_BLOCK x N floats."""
+    """Hits@1 over all training queries, scored in blocks (model.QUERY_BLOCK)
+    so that the logits stay small."""
     hits = 0
-    for start in range(0, tok.shape[0], HITS1_BLOCK):
-        block = slice(start, start + HITS1_BLOCK)
-        logits = batch_logits(p, tok[block], lengths[block])
+    for block, _, logits in score_blocks(p, tok, lengths):
         hits += int((logits.argmax(axis=1) == golds[block]).sum())
     return hits / tok.shape[0]
 
@@ -246,7 +227,7 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
 
     params = init_model(corpus.vocab.size, cfg.dim, corpus.num_docs, cfg.seed)
     state = init_optimizer_state(params, cfg)
-    tok_all, lengths_all = kernels.pack_token_matrix([q.tokens for q in queries])
+    tok_all, lengths_all = pack_queries([q.tokens for q in queries], params.vocab_size)
     golds_all = np.array([q.gold_docid for q in queries], dtype=np.int64)
 
     history: list[EpochStats] = []

@@ -16,15 +16,17 @@ import spans  # noqa: E402
 def test_benchmark_hooks_install_and_unwrap():
     from ddsi import cli, kernels, mmr
 
-    before = (kernels.train_pass, mmr.forward, cli.train)
+    before = (kernels.train_pass, mmr.forward, cli.train, cli.retrieve_then_rerank)
     rec = spans.Recorder()
     layers.install(rec)
     try:
         assert kernels.train_pass is not before[0]
         assert kernels.train_pass.__wrapped__ is before[0]
+        assert cli.retrieve_then_rerank is not before[3]
+        assert cli.retrieve_then_rerank.__wrapped__ is before[3]
     finally:
         rec.unwrap_all()
-    assert (kernels.train_pass, mmr.forward, cli.train) == before
+    assert (kernels.train_pass, mmr.forward, cli.train, cli.retrieve_then_rerank) == before
 
 
 def test_train_pass_hook_names_the_span_and_counts_pairs():

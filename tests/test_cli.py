@@ -185,9 +185,43 @@ def test_eval_rejects_non_finite_checkpoint(workspace, tmp_path, value):
     assert code == 1
 
 
+def mismatched_checkpoint(workspace, tmp_path, dv, dn):
+    """A checkpoint whose vocabulary and docid counts differ from the corpus's by dv and dn."""
+    _, _, run = workspace
+    v, d, n = load_checkpoint(run / "checkpoint.bin").dims
+    path = tmp_path / "other.bin"
+    save_checkpoint(init_model(v + dv, d, n + dn, 3), path)
+    return path
+
+
+@pytest.mark.parametrize("dv, dn", [(-3, 0), (0, 5), (0, -1)])
+def test_eval_rejects_checkpoint_of_another_corpus(workspace, tmp_path, dv, dn):
+    _, data, _ = workspace
+    out = tmp_path / "e"
+    code = main([
+        "eval", "--checkpoint", str(mismatched_checkpoint(workspace, tmp_path, dv, dn)),
+        "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "test.tsv"), "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # rerank
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dv, dn", [(-3, 0), (0, 5), (0, -1)])
+def test_rerank_rejects_checkpoint_of_another_corpus(workspace, tmp_path, dv, dn):
+    _, data, _ = workspace
+    out = tmp_path / "r"
+    code = main([
+        "rerank", "--checkpoint", str(mismatched_checkpoint(workspace, tmp_path, dv, dn)),
+        "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "test.tsv"),
+        "--m", "4", "--pool", "6", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
 
 
 def test_rerank_pool_smaller_than_m(workspace, tmp_path):

@@ -146,6 +146,21 @@ def test_pack_token_matrix_pads_with_minus_one():
     np.testing.assert_array_equal(tok, [[3, 1], [2, -1]])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.5, 3.0]), min_size=6, max_size=6),
+        min_size=1, max_size=5,
+    ),
+    st.integers(min_value=1, max_value=6),
+)
+def test_top_k_equals_lexsort_with_ties_and_signed_zeros(rows, k):
+    z = np.array(rows)
+    want = [np.lexsort((np.arange(z.shape[1]), -row))[:k].tolist() for row in z]
+    assert kernels.top_k(z, k).tolist() == want
+    assert kernels.top_k(z[0], k).tolist() == want[0]
+
+
 def test_pair_cosines_batch_matches_each_stack():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(4, 5, 3))

@@ -1,13 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddsi import kernels
 from ddsi.corpus import SyntheticConfig, generate_synthetic
 from ddsi.errors import (
     ColumnMismatch,
     EmptyDocument,
     EmptyInput,
     EmptyRun,
+    TokenOutOfRange,
     TooFewDocs,
 )
 from ddsi.metrics import (
@@ -305,6 +309,31 @@ def test_evaluate_deterministic(small_world):
 # ---------------------------------------------------------------------------
 # run / report files
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_run_queries_blocks_match_one_shot(monkeypatch, small_world, block):
+    model_module = importlib.import_module("ddsi.model")
+    if block is not None:
+        monkeypatch.setattr(model_module, "QUERY_BLOCK", block)
+    _, corpus, train_q, _ = small_world
+    params = init_model(corpus.vocab.size, 16, corpus.num_docs, 6)
+    queries = train_q[: 2 * model_module.QUERY_BLOCK + 7]
+    assert len(queries) // model_module.QUERY_BLOCK > 1
+    run = run_queries(params, queries, cutoff=10)
+    tok, lengths = kernels.pack_token_matrix([q.tokens for q in queries])
+    _, act = kernels.encode(params.embed, params.hidden_w, params.hidden_b, tok, lengths)
+    logits = act @ params.cls_w.T + params.cls_b
+    order = np.arange(corpus.num_docs)
+    assert [r.qid for r in run.rankings] == [q.qid for q in queries]
+    assert [r.docids() for r in run.rankings] == [np.lexsort((order, -z))[:10].tolist() for z in logits]
+
+
+def test_run_queries_checks_tokens_against_the_vocabulary(small_world):
+    _, corpus, _, test_q = small_world
+    small_vocab = init_model(2, 8, corpus.num_docs, 1)
+    with pytest.raises(TokenOutOfRange):
+        run_queries(small_vocab, test_q, cutoff=10)
 
 
 def test_run_file_roundtrip(tmp_path, small_world):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from ddsi.corpus import QueryExample
 from ddsi.errors import InvalidConfig, ZeroVector
 from ddsi.mmr import MmrConfig, mmr_rerank, retrieve_then_rerank
-from ddsi.model import cosine, encode_query, forward, init_model, top_k
+from ddsi.model import QUERY_BLOCK, cosine, encode_query, forward, init_model, top_k
 from ddsi.rng import Xoshiro256StarStar
 
 from oracles import oracle_mmr
@@ -124,29 +125,38 @@ def normalized_model(seed, v=12, d=6, n=9):
     return p
 
 
+def queries_of(token_lists):
+    return [QueryExample(qid=i, tokens=list(tokens), gold_docid=0) for i, tokens in enumerate(token_lists)]
+
+
+def random_token_lists(seed, num, v=12):
+    rng = Xoshiro256StarStar(seed)
+    return [[rng.randbelow(v) for _ in range(1 + rng.randbelow(6))] for _ in range(num)]
+
+
 def test_rerank_lambda_one_matches_topk_on_normalized_model():
     p = normalized_model(21)
-    tokens = [1, 4, 7]
+    token_lists = [[1, 4, 7], [2], [0, 11, 11, 3], [5, 6]]
     cfg = MmrConfig(lambda_=1.0, m=6, pool=6)
-    reranked = retrieve_then_rerank(p, tokens, cfg)
-    expected = top_k(forward(p, tokens), 6)
-    assert reranked.docids() == expected.docids()
+    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    assert [r.qid for r in reranked] == [0, 1, 2, 3]
+    assert [r.docids() for r in reranked] == [top_k(forward(p, tokens), 6).docids() for tokens in token_lists]
 
 
 def test_rerank_any_lambda_same_docid_set_as_topk():
     p = init_model(12, 6, 9, 22)
-    tokens = [2, 3]
+    token_lists = [[2, 3], [7], [1, 1, 10]]
     cfg = MmrConfig(lambda_=0.25, m=5, pool=5)
-    reranked = retrieve_then_rerank(p, tokens, cfg)
-    expected = top_k(forward(p, tokens), 5)
-    assert sorted(reranked.docids()) == sorted(expected.docids())
+    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    for got, tokens in zip(reranked, token_lists):
+        assert sorted(got.docids()) == sorted(top_k(forward(p, tokens), 5).docids())
 
 
 def test_rerank_full_pool_is_permutation_of_all_docids():
     p = init_model(12, 6, 9, 23)
     cfg = MmrConfig(lambda_=0.5, m=9, pool=9)
-    out = retrieve_then_rerank(p, [5, 6], cfg)
-    assert sorted(out.docids()) == list(range(9))
+    for out in retrieve_then_rerank(p, queries_of([[5, 6], [0], [3, 9, 9]]), cfg):
+        assert sorted(out.docids()) == list(range(9))
 
 
 def test_rerank_pool_larger_than_corpus_rejected():
@@ -154,27 +164,45 @@ def test_rerank_pool_larger_than_corpus_rejected():
 
     p = init_model(12, 6, 9, 24)
     with pytest.raises(KOutOfRange):
-        retrieve_then_rerank(p, [1], MmrConfig(lambda_=0.5, m=2, pool=10))
+        retrieve_then_rerank(p, queries_of([[1], [2, 3]]), MmrConfig(lambda_=0.5, m=2, pool=10))
 
 
 def test_rerank_encodes_each_query_once(monkeypatch):
-    from ddsi import mmr
+    from ddsi import kernels
 
     p = init_model(12, 6, 9, 25)
     cfg = MmrConfig(lambda_=0.5, m=4, pool=7)
-    queries = [[1, 2, 3], [4], [5, 5, 11]]
+    token_lists = random_token_lists(25, 2 * QUERY_BLOCK + 5)
     # the plain two-step form: logits from forward(), the query vector encoded anew
     expected = []
-    for tokens in queries:
+    for tokens in token_lists:
         candidates = [(d, p.cls_w[d]) for d in top_k(forward(p, tokens), cfg.pool).docids()]
         expected.append(mmr_rerank(encode_query(p, tokens), candidates, cfg).entries)
-    calls = []
+    rows = []
+    encode = kernels.encode
 
-    def counted(params, tokens):
-        calls.append(list(tokens))
-        return encode_query(params, tokens)
+    def counted(embed, hidden_w, hidden_b, tok, lengths):
+        rows.append(tok.shape[0])
+        return encode(embed, hidden_w, hidden_b, tok, lengths)
 
-    monkeypatch.setattr(mmr, "encode_query", counted)
-    got = [retrieve_then_rerank(p, tokens, cfg).entries for tokens in queries]
-    assert calls == queries
-    assert got == expected
+    monkeypatch.setattr(kernels, "encode", counted)
+    got = [r.entries for r in retrieve_then_rerank(p, queries_of(token_lists), cfg)]
+    # one encode per block, every query in exactly one block
+    assert len(rows) == len(token_lists) // QUERY_BLOCK == 2
+    assert sum(rows) == len(token_lists)
+    # a batched encode may sum in another order than a one-row encode
+    assert [[d for d, _ in e] for e in got] == [[d for d, _ in e] for e in expected]
+    for e, w in zip(got, expected):
+        assert [s for _, s in e] == pytest.approx([s for _, s in w], abs=1e-12)
+
+
+def test_rerank_across_blocks_matches_each_query_alone():
+    p = init_model(30, 8, 40, 26)
+    cfg = MmrConfig(lambda_=0.5, m=5, pool=12)
+    token_lists = random_token_lists(26, 3 * QUERY_BLOCK + 7, v=30)
+    assert len(token_lists) // QUERY_BLOCK == 3
+    together = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    assert [r.qid for r in together] == list(range(len(token_lists)))
+    for i, (got, tokens) in enumerate(zip(together, token_lists)):
+        (alone,) = retrieve_then_rerank(p, [QueryExample(qid=i, tokens=tokens, gold_docid=0)], cfg)
+        assert got.docids() == alone.docids()
