@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, metrics
 from .corpus import SyntheticConfig, generate_synthetic, load_corpus, load_queries, save_corpus, save_queries
 from .errors import ConfigError, DdsiError, InvalidConfig, ShapeMismatch
+from .fileio import atomic_open
 from .mmr import MmrConfig, retrieve_then_rerank
 from .model import load_checkpoint, save_checkpoint
 from .train import TrainConfig, train, write_history
@@ -34,15 +33,8 @@ def _sha256(path: Path) -> str:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as f:
+        f.write(text)
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int | None, inputs: list[Path], outputs: list[Path]) -> None:

@@ -19,6 +19,7 @@ from .errors import (
     MalformedLine,
     NonDenseDocids,
 )
+from .fileio import atomic_open
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -135,7 +136,7 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for doc in corpus.documents:
             f.write(json.dumps({"docid": doc.docid, "title": doc.title, "text": doc.body}) + "\n")
 
@@ -166,7 +167,7 @@ def load_queries(path, corpus: Corpus) -> list[QueryExample]:
 
 
 def save_queries(queries: list[QueryExample], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for q in queries:
             f.write(f"{q.text}\t{q.gold_docid}\n")
 

@@ -1,0 +1,27 @@
+"""Atomic file writes: a reader of the path sees the old file or the whole
+new one, never a part, and a failed write leaves nothing behind."""
+
+from __future__ import annotations
+
+import os
+import secrets
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Yield a temporary file beside path, open for writing in mode "w"
+    (UTF-8) or "wb"; it replaces path when the block exits and is deleted
+    if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # 0o666 less the umask, as open() creates files
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

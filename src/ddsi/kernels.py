@@ -158,6 +158,18 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
 
 
+def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """np.add.at(out, ids, rows), bit for bit, for a 2-D out whose rows at ids are zero.
+
+    One bincount over (local id, column) bins sums each bin in input order
+    from 0.0, the order np.add.at adds in.
+    """
+    uniq, local = np.unique(ids, return_inverse=True)
+    d = out.shape[1]
+    bins = (local[:, None] * d + np.arange(d)).ravel()
+    out[uniq] += np.bincount(bins, weights=rows.ravel(), minlength=uniq.shape[0] * d).reshape(-1, d)
+
+
 def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pairwise cosines among the K rows of each (..., K, d) stack.
 
@@ -180,7 +192,8 @@ def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 #
 # train_pass adds the batch gradients into `grads`, zeroed parameters of
-# the model's shapes (its arrays() in checkpoint order), and returns
+# the model's shapes (its arrays() in checkpoint order; the embedding
+# scatter, add_rows_at, is exact only on zeroed rows), and returns
 #   (ce_sum, div_sum, pair_evals, topk)
 # where ce_sum/div_sum are sums of per-example terms, topk is (B, K)
 # int64 (-1 filled when the diversity path is skipped), and pair_evals
@@ -228,7 +241,7 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
         denc = dhid @ hidden_w
         contrib = denc / lengths[:, None]
         mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
-        np.add.at(g_embed, tok[mask], np.repeat(contrib, lengths, axis=0))
+        add_rows_at(g_embed, tok[mask], np.repeat(contrib, lengths, axis=0))
 
     div_sum = 0.0
     pair_evals = 0
@@ -244,6 +257,7 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
         # d(mean pair cosine)/d row_a, summed over the pairs touching a
         unit_sum = unit.sum(axis=1, keepdims=True)
         grad_rows = inv[..., None] * ((unit_sum - unit) - unit * cosines.sum(axis=2)[..., None])
+        # these rows already hold the CE gradient, so add_rows_at would regroup the sums
         np.add.at(g_cw, topk.ravel(), (grad_rows * div_scale).reshape(bsz * kk, -1))
 
     return ce_sum, div_sum, pair_evals, topk

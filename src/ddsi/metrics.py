@@ -26,6 +26,7 @@ from .errors import (
     MalformedLine,
     TooFewDocs,
 )
+from .fileio import atomic_open
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
 from .model import ModelParams, RankedList, batch_logits, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
 
@@ -234,7 +235,7 @@ REPORT_COLUMNS = ["dataset", "alpha", "hits1", "hits5", "hits10", "mrr10", "roug
 
 def write_run(run: EvalRun, path) -> None:
     """TREC-style TSV: qid, docid, 1-based rank, score."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for ranking in run.rankings:
             for rank, (docid, score) in enumerate(ranking.entries, start=1):
                 f.write(f"{ranking.qid}\t{docid}\t{rank}\t{score:.17g}\n")
@@ -288,7 +289,7 @@ def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float 
         "cr": report.cr,
         "num_queries": report.num_queries,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write(report_tsv([row]))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InvalidConfig, ZeroVector
+from .errors import EmptyRun, InvalidConfig, ZeroVector
 # encode_query, forward and top_k stay importable only because perfbench/layers.py wraps them by name
 from .model import ModelParams, RankedList, encode_query, forward, pack_queries, ranked_lists, score_blocks, top_k, unit_rows  # noqa: F401
 
@@ -81,6 +81,8 @@ def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[Ranked
     """Top-pool retrieval by logits, as in eval, then MMR over classifier-row
     vectors, for every query; each block of queries is reranked together."""
     cfg.validate()
+    if not queries:
+        raise EmptyRun("no queries")
     tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
     doc_units = unit_rows(p.cls_w)
     rankings = []

@@ -22,6 +22,7 @@ from .errors import (
     TokenOutOfRange,
     ZeroVector,
 )
+from .fileio import atomic_open
 from .rng import Xoshiro256StarStar
 
 CHECKPOINT_MAGIC = b"DDSI"
@@ -114,7 +115,7 @@ def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:
     rng = Xoshiro256StarStar(seed)
     bound = 1.0 / np.sqrt(d)
     for arr in (p.embed, p.hidden_w, p.cls_w):
-        arr[:] = np.reshape([rng.uniform(-bound, bound) for _ in range(arr.size)], arr.shape)
+        arr.reshape(-1)[:] = rng.fill_uniform(arr.size, -bound, bound)
     return p
 
 
@@ -194,8 +195,9 @@ def cosine(u, v) -> float:
 def save_checkpoint(p: ModelParams, path) -> None:
     """Binary checkpoint: magic, version, dims, then the flat vector as f32 LE."""
     header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, *p.dims)
-    with open(path, "wb") as f:
-        f.write(header + p.flat.astype("<f4").tobytes())
+    with atomic_open(path, "wb") as f:
+        f.write(header)
+        f.write(p.flat.astype("<f4").tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

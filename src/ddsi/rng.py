@@ -71,6 +71,27 @@ class Xoshiro256StarStar:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + self.random() * (hi - lo)
 
+    def fill_uniform(self, n: int, lo: float, hi: float) -> list[float]:
+        """n uniform(lo, hi) draws: the stream of n uniform() calls, with the
+        state held in locals."""
+        s0, s1, s2, s3 = self._s
+        scale = 2.0 ** -53
+        width = hi - lo
+        out = [0.0] * n
+        for i in range(n):
+            x = (s1 * 5) & _MASK64
+            result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            out[i] = lo + (result >> 11) * scale * width
+        self._s = [s0, s1, s2, s3]
+        return out
+
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection (unbiased)."""
         if n <= 0:

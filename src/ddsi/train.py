@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
 )
+from .fileio import atomic_open
 # batch_logits stays importable only because perfbench/layers.py wraps it by name
 from .model import ModelParams, batch_logits, init_model, pack_queries, score_blocks  # noqa: F401
 from .rng import Xoshiro256StarStar, mix_seed
@@ -88,7 +89,7 @@ class LossBreakdown:
     diversity: float
     alpha: float
     total: float
-    selected_topk: tuple[tuple[int, ...], ...] = ()
+    selected_topk: np.ndarray | tuple = ()  # (B, K) top-K docids; () at alpha == 1
 
 
 @dataclass
@@ -126,47 +127,55 @@ def diversity_term(p: ModelParams, topk) -> float:
     return float(cosines.sum()) / 2.0 / npairs
 
 
-def _run_pass(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig):
-    if not batch:
+def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.ndarray, cfg: TrainConfig,
+              grads: ModelParams) -> LossBreakdown:
+    """One batch of checked, packed queries through kernels.train_pass; the
+    gradients are added into grads, which must be zeroed."""
+    ce_sum, div_sum, pair_evals, topk = kernels.train_pass(
+        *p.arrays(), tok, lengths, golds, cfg.k, cfg.alpha, grads,
+    )
+    _count_pairs(int(pair_evals))
+    bsz = tok.shape[0]
+    ce = ce_sum / bsz
+    if cfg.alpha == 1.0:
+        return LossBreakdown(ce=ce, diversity=0.0, alpha=cfg.alpha, total=ce, selected_topk=())
+    div = div_sum / bsz
+    total = cfg.alpha * ce + (1.0 - cfg.alpha) * div
+    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=topk)
+
+
+def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfig):
+    """Checked (tok, lengths, golds) of the examples, as train_pass takes them."""
+    if not examples:
         raise InvalidConfig("batch must be non-empty")
-    tok, lengths = pack_queries([q.tokens for q in batch], p.vocab_size)
-    golds = np.array([q.gold_docid for q in batch], dtype=np.int64)
+    tok, lengths = pack_queries([q.tokens for q in examples], p.vocab_size)
+    golds = np.array([q.gold_docid for q in examples], dtype=np.int64)
     n = p.num_docs
     if golds.min() < 0 or golds.max() >= n:
         raise GoldOutOfRange(f"gold docid outside [0, {n})")
     if cfg.k > n:
         raise InvalidConfig(f"K={cfg.k} exceeds corpus size {n}")
-    grads = ModelParams.zeros(*p.dims)
-    ce_sum, div_sum, pair_evals, topk = kernels.train_pass(
-        *p.arrays(), tok, lengths, golds, cfg.k, cfg.alpha, grads,
-    )
-    _count_pairs(int(pair_evals))
-    bsz = len(batch)
-    ce = ce_sum / bsz
-    if cfg.alpha == 1.0:
-        breakdown = LossBreakdown(ce=ce, diversity=0.0, alpha=cfg.alpha, total=ce, selected_topk=())
-    else:
-        div = div_sum / bsz
-        total = cfg.alpha * ce + (1.0 - cfg.alpha) * div
-        selected = tuple(tuple(int(d) for d in row) for row in topk)
-        breakdown = LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=selected)
-    return breakdown, grads
+    return tok, lengths, golds
+
+
+def _check_finite(breakdown: LossBreakdown, grads: ModelParams) -> None:
+    if not math.isfinite(breakdown.total):
+        raise NonFiniteGradient("loss is not finite")
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteGradient("gradient is not finite")
 
 
 def total_loss(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> LossBreakdown:
     cfg.validate()
-    breakdown, _ = _run_pass(p, batch, cfg)
-    return breakdown
+    return _run_pass(p, *_pack_examples(p, batch, cfg), cfg, ModelParams.zeros(*p.dims))
 
 
 def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:
     """Loss and its gradients, laid out as parameters."""
     cfg.validate()
-    breakdown, grads = _run_pass(p, batch, cfg)
-    if not math.isfinite(breakdown.total):
-        raise NonFiniteGradient("loss is not finite")
-    if not np.isfinite(grads.flat).all():
-        raise NonFiniteGradient("gradient is not finite")
+    grads = ModelParams.zeros(*p.dims)
+    breakdown = _run_pass(p, *_pack_examples(p, batch, cfg), cfg, grads)
+    _check_finite(breakdown, grads)
     return breakdown, grads
 
 
@@ -176,6 +185,7 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = None  # Adam moments, laid out like ModelParams.flat
     v: np.ndarray | None = None
+    scratch: tuple[np.ndarray, np.ndarray] | None = None  # Adam's work vectors, so a step allocates nothing
 
 
 def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
@@ -183,6 +193,7 @@ def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
     if cfg.optimizer == "adam":
         state.m = np.zeros_like(p.flat)
         state.v = np.zeros_like(p.flat)
+        state.scratch = (np.empty_like(p.flat), np.empty_like(p.flat))
     return state
 
 
@@ -198,11 +209,20 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         m, v = state.m, state.v
+        a, b = state.scratch
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g.flat
+        m += np.multiply(g.flat, 1.0 - ADAM_BETA1, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g.flat * g.flat
-        p.flat -= cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g.flat, 1.0 - ADAM_BETA2, out=a)
+        v += np.multiply(a, g.flat, out=a)
+        np.divide(m, bc1, out=a)
+        a *= cfg.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p.flat -= a
     else:
         raise InvalidConfig(f"unknown optimizer {state.kind!r}")
     return p
@@ -227,21 +247,26 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
 
     params = init_model(corpus.vocab.size, cfg.dim, corpus.num_docs, cfg.seed)
     state = init_optimizer_state(params, cfg)
-    tok_all, lengths_all = pack_queries([q.tokens for q in queries], params.vocab_size)
-    golds_all = np.array([q.gold_docid for q in queries], dtype=np.int64)
+    tok_all, lengths_all, golds_all = _pack_examples(params, queries, cfg)
+    grads = ModelParams.zeros(*params.dims)
 
     history: list[EpochStats] = []
     num = len(queries)
     for epoch in range(cfg.epochs):
         order = list(range(num))
         Xoshiro256StarStar(mix_seed(cfg.seed, epoch)).shuffle(order)
+        order = np.array(order, dtype=np.int64)
         ce_sum = 0.0
         div_sum = 0.0
         for start in range(0, num, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            batch = [queries[i] for i in chunk]
+            lengths = lengths_all[chunk]
+            # the same matrix pack_queries builds for this batch alone
+            tok = tok_all[chunk, : lengths.max()]
+            grads.flat.fill(0.0)
+            breakdown = _run_pass(params, tok, lengths, golds_all[chunk], cfg, grads)
             try:
-                breakdown, grads = backward(params, batch, cfg)
+                _check_finite(breakdown, grads)
             except NonFiniteGradient as e:
                 raise NonFiniteGradient(f"epoch {epoch} batch {start // cfg.batch_size}: {e}") from e
             step(params, grads, state, cfg)
@@ -256,7 +281,7 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
 
 
 def write_history(history: list[EpochStats], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write("epoch\tce\tdiversity\ttotal\ttrain_hits1\n")
         for row in history:
             f.write(

@@ -4,8 +4,11 @@ Installing and removing its hooks here makes a renamed or moved function
 fail the test suite, not only a traced benchmark run.
 """
 
+import math
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -51,3 +54,25 @@ def test_train_pass_hook_names_the_span_and_counts_pairs():
     assert rec.counts["train.batches"] == 1
     assert rec.counts["train.examples"] == bsz
     assert rec.counts["train.diversity_pair_evals"] == bsz * kk * (kk - 1) // 2
+
+
+@pytest.mark.parametrize("alpha, pass_span", [(1.0, "kernels.train_pass_ce"), (0.5, "kernels.train_pass_div")])
+def test_train_loop_calls_the_wrapped_step_and_pass_per_batch(small_world, alpha, pass_span):
+    from ddsi.train import TrainConfig, train
+
+    _, corpus, train_q, _ = small_world
+    cfg = TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3)
+    rec = spans.Recorder()
+    layers.install(rec)
+    rec.on = True
+    try:
+        train(corpus, train_q, cfg)
+    finally:
+        rec.on = False
+        rec.unwrap_all()
+    batches = cfg.epochs * math.ceil(len(train_q) / cfg.batch_size)
+    names = [s[0] for s in rec.spans]
+    assert names.count("train.step") == batches
+    assert names.count(pass_span) == batches
+    assert rec.counts["train.batches"] == batches
+    assert rec.counts["train.examples"] == cfg.epochs * len(train_q)

@@ -224,6 +224,19 @@ def test_rerank_rejects_checkpoint_of_another_corpus(workspace, tmp_path, dv, dn
     assert not out.exists()
 
 
+def test_rerank_without_queries_writes_nothing(workspace, tmp_path):
+    _, data, run = workspace
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    out = tmp_path / "r"
+    code = main([
+        "rerank", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(empty), "--m", "4", "--pool", "6", "--out", str(out),
+    ])
+    assert code == 1
+    assert not out.exists()
+
+
 def test_rerank_pool_smaller_than_m(workspace, tmp_path):
     _, data, run = workspace
     code = main([

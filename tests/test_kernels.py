@@ -205,3 +205,43 @@ def test_encode_one_row_matches_batch(seed):
         row = np.array([s], dtype=np.int64)
         _, one = kernels.encode(params.embed, params.hidden_w, params.hidden_b, row, np.array([len(s)]))
         np.testing.assert_allclose(one[0], act[i], rtol=1e-12, atol=1e-15)
+
+
+# magnitudes where a regrouped sum would round differently, overflow or flush
+_SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 3e-300, 1e300, -1e300, 7e299, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-310, max_value=1e-290) | st.floats(min_value=1e290, max_value=1e300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6), min_size=1, max_size=5),
+    st.data(),
+)
+def test_add_rows_at_equals_add_at_bit_for_bit(num_rows, d, queries, data):
+    # ids are the tokens of padded queries, flattened as train_pass does, so an
+    # id repeats within a query and across queries
+    tok, lengths = kernels.pack_token_matrix([[t % num_rows for t in q] for q in queries])
+    ids = tok[np.arange(tok.shape[1])[None, :] < lengths[:, None]]
+    rows = np.array(data.draw(st.lists(st.lists(_SCATTER_VALUES, min_size=d, max_size=d),
+                                       min_size=ids.size, max_size=ids.size)), dtype=np.float64)
+    want = np.zeros((num_rows, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(want, ids, rows)
+    got = np.zeros((num_rows, d))
+    kernels.add_rows_at(got, ids, rows)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_add_rows_at_leaves_other_rows_and_sums_in_input_order():
+    out = np.full((4, 2), 7.0)
+    out[[1, 3]] = 0.0
+    rows = np.array([[1e16, 1.0], [1.0, -0.0], [-1e16, -0.0], [1.0, 2.0]])
+    kernels.add_rows_at(out, np.array([3, 3, 3, 1]), rows)
+    # (1e16 + 1) + -1e16 is 0 in sequence, though the exact sum is 1
+    assert out.tolist() == [[7.0, 7.0], [1.0, 2.0], [7.0, 7.0], [0.0, 1.0]]
+    assert not np.signbit(out[3, 0])

@@ -246,6 +246,23 @@ def test_checkpoint_bytes_are_header_then_arrays_in_canonical_order(tmp_path):
         assert np.array_equal(got, want)
 
 
+def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path):
+    class Unconvertible:
+        def astype(self, dtype):
+            raise RuntimeError("no body")
+
+    path = tmp_path / "checkpoint.bin"
+    p = init_model(6, 3, 4, 0)
+    save_checkpoint(p, path)
+    old = path.read_bytes()
+    broken = ModelParams.zeros(*p.dims)
+    broken.flat = Unconvertible()  # the header is written before the body fails
+    with pytest.raises(RuntimeError):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == old
+    assert [q.name for q in tmp_path.iterdir()] == ["checkpoint.bin"]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("index", [0, 17, -1])
 def test_checkpoint_rejects_non_finite(tmp_path, value, index):

@@ -96,3 +96,17 @@ def test_sample_indices_distinct(k, seed):
 def test_sample_indices_k_too_large():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).sample_indices(3, 4)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=300),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_fill_uniform_equals_uniform_calls(seed, n, lo, hi):
+    a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    want = [a.uniform(lo, hi) for _ in range(n)]
+    got = b.fill_uniform(n, lo, hi)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert b.next_u64() == a.next_u64()

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ from ddsi.errors import (
     ShapeMismatch,
 )
 from ddsi.model import ModelParams, init_model
-from ddsi.rng import Xoshiro256StarStar
+from ddsi.rng import Xoshiro256StarStar, mix_seed
 from ddsi.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EpochStats,
     TrainConfig,
     backward,
     cross_entropy,
@@ -347,9 +352,71 @@ def test_adam_matches_reference_two_steps():
     assert params.hidden_b[0] == pytest.approx(theta, abs=1e-15)
 
 
+def test_adam_steps_match_whole_vector_expressions():
+    # the update as whole-vector numpy expressions with temporaries, bit for bit
+    params, batch, cfg = make_instance(45, 0.5)
+    state = init_optimizer_state(params, cfg)
+    theta = params.flat.copy()
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    for t in range(1, 51):
+        _, grads = backward(params, batch, cfg)
+        g = grads.flat
+        step(params, grads, state, cfg)
+        m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
+        v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        theta = theta - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert params.flat.tobytes() == theta.tobytes(), f"step {t}"
+
+
+def test_warm_adam_step_allocates_less_than_one_flat_vector():
+    # the whole-vector form peaks at three flat vectors of temporaries
+    params = ModelParams.zeros(2500, 64, 200)
+    grads = ModelParams(np.linspace(-1.0, 1.0, params.flat.size), *params.dims)
+    cfg = TrainConfig()
+    state = init_optimizer_state(params, cfg)
+    step(params, grads, state, cfg)
+    tracemalloc.start()
+    try:
+        step(params, grads, state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes, f"peak {peak} bytes"
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("alpha, optimizer", [(1.0, "adam"), (0.5, "adam"), (0.5, "sgd")])
+def test_train_equals_backward_and_step_per_batch(small_world, alpha, optimizer):
+    _, corpus, train_q, _ = small_world
+    cfg = TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3, optimizer=optimizer, lr=0.01)
+    assert len(train_q) % cfg.batch_size, "the last batch should be a short one"
+    got, history = train(corpus, train_q, cfg)
+
+    params = init_model(corpus.vocab.size, cfg.dim, corpus.num_docs, cfg.seed)
+    state = init_optimizer_state(params, cfg)
+    for epoch in range(cfg.epochs):
+        order = list(range(len(train_q)))
+        Xoshiro256StarStar(mix_seed(cfg.seed, epoch)).shuffle(order)
+        ce_sum = div_sum = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_q[i] for i in order[start : start + cfg.batch_size]]
+            breakdown, grads = backward(params, batch, cfg)
+            step(params, grads, state, cfg)
+            ce_sum += breakdown.ce * len(batch)
+            div_sum += breakdown.diversity * len(batch)
+        assert history[epoch].ce == ce_sum / len(train_q)
+        assert history[epoch].diversity == div_sum / len(train_q)
+    assert got.flat.tobytes() == params.flat.tobytes()
+
 
 
 def test_train_is_deterministic(small_world):
@@ -410,8 +477,6 @@ def test_train_hits1_blocks_match_one_shot(monkeypatch, block):
 
 
 def test_write_history(tmp_path):
-    from ddsi.train import EpochStats
-
     rows = [EpochStats(0, 1.5, 0.25, 0.875, 0.5), EpochStats(1, 1.0, 0.5, 0.75, 0.75)]
     path = tmp_path / "history.tsv"
     write_history(rows, path)
@@ -419,3 +484,19 @@ def test_write_history(tmp_path):
     assert lines[0] == "epoch\tce\tdiversity\ttotal\ttrain_hits1"
     assert lines[1].split("\t")[0] == "0"
     assert float(lines[2].split("\t")[3]) == 0.75
+
+
+class _Unformattable(float):
+    def __format__(self, spec):
+        raise RuntimeError("no format")
+
+
+def test_write_history_that_fails_midway_keeps_the_old_file(tmp_path):
+    path = tmp_path / "history.tsv"
+    write_history([EpochStats(0, 1.5, 0.25, 0.875, 0.5)], path)
+    old = path.read_bytes()
+    rows = [EpochStats(0, 1.0, 0.5, 0.75, 0.75), EpochStats(1, _Unformattable(2.0), 0.5, 0.75, 0.75)]
+    with pytest.raises(RuntimeError):
+        write_history(rows, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["history.tsv"]
