@@ -19,7 +19,7 @@ from .errors import (
     MalformedLine,
     NonDenseDocids,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, read_lines
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -102,36 +102,32 @@ def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
         words = split_words(body)
         if not words:
             raise EmptyDocument(docid)
-        for w in words:
-            vocab.add(w)
-        documents.append(Document(docid=docid, title=title, body=body))
-    for doc in documents:
-        doc.tokens = vocab.tokenize(doc.body)
+        # ids never change once given, so these are vocab.tokenize(body)
+        documents.append(Document(docid=docid, title=title, body=body, tokens=[vocab.add(w) for w in words]))
     return Corpus(documents=documents, vocab=vocab)
 
 
 def load_corpus(path) -> Corpus:
     """Read UTF-8 JSONL with fields docid (int), title (str), text (str)."""
     rows = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLine(path, lineno, str(e)) from e
-            if not isinstance(obj, dict):
-                raise MalformedLine(path, lineno, "not a JSON object")
-            try:
-                docid, title, body = obj["docid"], obj["title"], obj["text"]
-            except KeyError as e:
-                raise MalformedLine(path, lineno, f"missing field {e}") from e
-            if not isinstance(docid, int) or isinstance(docid, bool):
-                raise MalformedLine(path, lineno, "docid must be an integer")
-            if not isinstance(title, str) or not isinstance(body, str):
-                raise MalformedLine(path, lineno, "title/text must be strings")
-            rows.append((docid, title, body))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise MalformedLine(path, lineno, str(e)) from e
+        if not isinstance(obj, dict):
+            raise MalformedLine(path, lineno, "not a JSON object")
+        try:
+            docid, title, body = obj["docid"], obj["title"], obj["text"]
+        except KeyError as e:
+            raise MalformedLine(path, lineno, f"missing field {e}") from e
+        if not isinstance(docid, int) or isinstance(docid, bool):
+            raise MalformedLine(path, lineno, "docid must be an integer")
+        if not isinstance(title, str) or not isinstance(body, str):
+            raise MalformedLine(path, lineno, "title/text must be strings")
+        rows.append((docid, title, body))
     return _build_corpus(rows)
 
 
@@ -144,25 +140,24 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_queries(path, corpus: Corpus) -> list[QueryExample]:
     """Read TSV lines `query<TAB>gold_docid`; qids follow line order."""
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise MalformedLine(path, lineno, "expected query<TAB>docid")
-            text, gold_str = parts
-            try:
-                gold = int(gold_str)
-            except ValueError as e:
-                raise MalformedLine(path, lineno, "docid not an integer") from e
-            if not 0 <= gold < corpus.num_docs:
-                raise GoldOutOfRange(f"{path}:{lineno}: docid {gold} outside [0, {corpus.num_docs})")
-            tokens = corpus.vocab.tokenize(text)
-            if not tokens:
-                raise MalformedLine(path, lineno, "query has no tokens")
-            out.append(QueryExample(qid=len(out), tokens=tokens, gold_docid=gold, text=text))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise MalformedLine(path, lineno, "expected query<TAB>docid")
+        text, gold_str = parts
+        try:
+            gold = int(gold_str)
+        except ValueError as e:
+            raise MalformedLine(path, lineno, "docid not an integer") from e
+        if not 0 <= gold < corpus.num_docs:
+            raise GoldOutOfRange(f"{path}:{lineno}: docid {gold} outside [0, {corpus.num_docs})")
+        tokens = corpus.vocab.tokenize(text)
+        if not tokens:
+            raise MalformedLine(path, lineno, "query has no tokens")
+        out.append(QueryExample(qid=len(out), tokens=tokens, gold_docid=gold, text=text))
     return out
 
 

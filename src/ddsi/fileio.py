@@ -1,12 +1,16 @@
 """Atomic file writes: a reader of the path sees the old file or the whole
-new one, never a part, and a failed write leaves nothing behind."""
+new one, never a part, and a failed write leaves nothing behind. Text
+reads that name the line of the first byte that is not UTF-8."""
 
 from __future__ import annotations
 
+import io
 import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import MalformedLine
 
 
 @contextmanager
@@ -25,3 +29,18 @@ def atomic_open(path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path) -> list[str]:
+    """The lines that iterating open(path, encoding="utf-8") yields, with
+    universal newlines; bytes that are not UTF-8 raise MalformedLine with
+    the line of the first bad byte."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = blob[: e.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise MalformedLine(path, lineno, f"not UTF-8 at byte {e.start}: {e.reason}") from e
+    return io.StringIO(text, newline=None).readlines()

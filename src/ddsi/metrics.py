@@ -26,7 +26,7 @@ from .errors import (
     MalformedLine,
     TooFewDocs,
 )
-from .fileio import atomic_open
+from .fileio import atomic_open, read_lines
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
 from .model import ModelParams, RankedList, batch_logits, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
 
@@ -134,6 +134,11 @@ def homogenization(docs) -> float:
     return _homogenization_sets(tok, lengths, [np.arange(len(docs))])[0]
 
 
+# _ngd_sets counts distinct n-grams for groups of sets of about this many
+# token cells, so that its sort works on a bounded slice of an eval's sets
+NGD_CELLS = 1 << 16
+
+
 def _ngd_sets(tok, lengths, sets) -> np.ndarray:
     """N-gram diversity of each set of rows: the sum over n = 1..4 of
     unique/total n-grams, pooled over the set's rows.
@@ -142,9 +147,12 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
     (n+1)-gram's id numbers the distinct (n-gram id, next token) pairs.
     """
     members = np.concatenate(sets)
-    owner = np.repeat(np.arange(len(sets)), [len(rows) for rows in sets])
+    sizes = [len(rows) for rows in sets]
+    owner = np.repeat(np.arange(len(sets)), sizes)
     if (np.bincount(owner, weights=lengths[members], minlength=len(sets)) == 0).any():
         raise EmptyInput("no tokens for n-gram diversity")
+    bounds = np.concatenate([[0], np.cumsum(sizes)])  # set s owns members[bounds[s]:bounds[s + 1]]
+    group = max(1, NGD_CELLS // max(1, tok.shape[1] * max(sizes)))
     token_ids, ntok = kernels.dense_token_ids(tok, lengths)
     gram_ids, ngrams = token_ids, ntok
     score = np.zeros(len(sets), dtype=np.float64)
@@ -156,10 +164,14 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
             uniq, gram_ids[ends >= 0] = np.unique(keys[ends >= 0], return_inverse=True)
             ngrams = uniq.shape[0]
         total = np.bincount(owner, weights=np.maximum(lengths[members] - n + 1, 0), minlength=len(sets))
-        grams = gram_ids[members]
-        keys = np.sort((owner[:, None] * ngrams + grams)[grams >= 0])
-        first = np.diff(keys, prepend=-1) != 0
-        distinct = np.bincount(keys[first] // max(ngrams, 1), minlength=len(sets))
+        distinct = np.zeros(len(sets), dtype=np.int64)
+        for lo in range(0, len(sets), group):
+            hi = min(lo + group, len(sets))
+            span = slice(bounds[lo], bounds[hi])
+            grams = gram_ids[members[span]]
+            keys = np.sort(((owner[span] - lo)[:, None] * ngrams + grams)[grams >= 0])
+            first = np.diff(keys, prepend=-1) != 0
+            distinct[lo:hi] = np.bincount(keys[first] // max(ngrams, 1), minlength=hi - lo)
         score += np.where(total > 0, distinct / np.maximum(total, 1), 0.0)
     return score
 
@@ -243,19 +255,18 @@ def write_run(run: EvalRun, path) -> None:
 
 def read_run(path) -> list[RankedList]:
     by_qid: dict[int, RankedList] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise MalformedLine(path, lineno, "expected qid<TAB>docid<TAB>rank<TAB>score")
-            try:
-                qid, docid, _rank, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError as e:
-                raise MalformedLine(path, lineno, str(e)) from e
-            by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries.append((docid, score))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise MalformedLine(path, lineno, "expected qid<TAB>docid<TAB>rank<TAB>score")
+        try:
+            qid, docid, _rank, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError as e:
+            raise MalformedLine(path, lineno, str(e)) from e
+        by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries.append((docid, score))
     return list(by_qid.values())
 
 
@@ -295,19 +306,21 @@ def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float 
 
 def read_report_tsv(path) -> list[dict]:
     """Rows of a report TSV as dicts; header must match REPORT_COLUMNS."""
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0].split("\t") != REPORT_COLUMNS:
+    lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(read_lines(path), start=1) if ln.strip()]
+    if not lines or lines[0][1].split("\t") != REPORT_COLUMNS:
         raise ColumnMismatch(f"{path}: header must be {REPORT_COLUMNS}")
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(REPORT_COLUMNS):
             raise ColumnMismatch(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
         row: dict = dict(zip(REPORT_COLUMNS, parts))
-        for key in ("alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr"):
-            row[key] = None if row[key] == "NA" else float(row[key])
-        row["num_queries"] = int(row["num_queries"])
+        try:
+            for key in ("alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr"):
+                row[key] = None if row[key] == "NA" else float(row[key])
+            row["num_queries"] = int(row["num_queries"])
+        except ValueError as e:
+            raise ColumnMismatch(f"{path}:{lineno}: {e}") from e
         rows.append(row)
     return rows
 

@@ -112,10 +112,12 @@ def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:
     if v < 1 or d < 1 or n < 1:
         raise InvalidDims(f"dims must be >= 1, got V={v} d={d} N={n}")
     p = ModelParams.zeros(v, d, n)
-    rng = Xoshiro256StarStar(seed)
     bound = 1.0 / np.sqrt(d)
-    for arr in (p.embed, p.hidden_w, p.cls_w):
-        arr.reshape(-1)[:] = rng.fill_uniform(arr.size, -bound, bound)
+    draws = Xoshiro256StarStar(seed).fill_uniform(p.embed.size + p.hidden_w.size + p.cls_w.size, -bound, bound)
+    # embed and hidden_w lie next to each other in flat; hidden_b parts them from cls_w
+    split = p.embed.size + p.hidden_w.size
+    p.flat[:split] = draws[:split]
+    p.cls_w.reshape(-1)[:] = draws[split:]
     return p
 
 

@@ -35,6 +35,9 @@ from .rng import Xoshiro256StarStar, mix_seed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam updates the parameters in slices of this many floats: the six
+# 256 KB slices it touches at once stay in a 2 MB L2 cache
+ADAM_BLOCK = 1 << 15
 
 # cosine pair evaluations performed by the diversity path since the last
 # reset; stays at 0 through an alpha == 1 run
@@ -185,7 +188,7 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = None  # Adam moments, laid out like ModelParams.flat
     v: np.ndarray | None = None
-    scratch: tuple[np.ndarray, np.ndarray] | None = None  # Adam's work vectors, so a step allocates nothing
+    scratch: tuple[np.ndarray, np.ndarray] | None = None  # Adam's work slices, so a step allocates nothing
 
 
 def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
@@ -193,7 +196,8 @@ def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
     if cfg.optimizer == "adam":
         state.m = np.zeros_like(p.flat)
         state.v = np.zeros_like(p.flat)
-        state.scratch = (np.empty_like(p.flat), np.empty_like(p.flat))
+        size = min(p.flat.size, ADAM_BLOCK)
+        state.scratch = (np.empty(size), np.empty(size))
     return state
 
 
@@ -208,21 +212,24 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
         t = state.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        m, v = state.m, state.v
-        a, b = state.scratch
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
-        m *= ADAM_BETA1
-        m += np.multiply(g.flat, 1.0 - ADAM_BETA1, out=a)
-        v *= ADAM_BETA2
-        np.multiply(g.flat, 1.0 - ADAM_BETA2, out=a)
-        v += np.multiply(a, g.flat, out=a)
-        np.divide(m, bc1, out=a)
-        a *= cfg.lr
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        p.flat -= a
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time,
+        # one ADAM_BLOCK slice at a time
+        for lo in range(0, p.flat.size, ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            m, v, gb, pb = state.m[lo:hi], state.v[lo:hi], g.flat[lo:hi], p.flat[lo:hi]
+            a, b = (w[: pb.size] for w in state.scratch)
+            m *= ADAM_BETA1
+            m += np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
+            v *= ADAM_BETA2
+            np.multiply(gb, 1.0 - ADAM_BETA2, out=a)
+            v += np.multiply(a, gb, out=a)
+            np.divide(m, bc1, out=a)
+            a *= cfg.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            pb -= a
     else:
         raise InvalidConfig(f"unknown optimizer {state.kind!r}")
     return p

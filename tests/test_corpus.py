@@ -100,6 +100,14 @@ def test_load_corpus_malformed(tmp_path):
     assert exc.value.lineno == 2
 
 
+def test_load_corpus_bad_utf8_names_its_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"docid": 0, "title": "t", "text": "x"}\r\n\r{"docid": 1, "title": "t", "text": "\xff"}\n')
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path)
+    assert exc.value.lineno == 3
+
+
 def test_load_corpus_missing_field(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"docid": 0, "title": "t"}\n')
@@ -115,6 +123,15 @@ def test_corpus_roundtrip(tmp_path, small_world):
     assert reloaded.num_docs == corpus.num_docs
     for a, b in zip(corpus.documents, reloaded.documents):
         assert (a.docid, a.title, a.body, a.tokens) == (b.docid, b.title, b.body, b.tokens)
+
+
+def test_document_tokens_equal_tokenize_of_body(tmp_path, small_world):
+    _, corpus, _, _ = small_world
+    path = tmp_path / "c.jsonl"
+    save_corpus(corpus, path)
+    for c in (corpus, load_corpus(path)):
+        for doc in c.documents:
+            assert doc.tokens == c.vocab.tokenize(doc.body)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, strategies as st
 
-from ddsi.fileio import atomic_open
+from ddsi.errors import MalformedLine
+from ddsi.fileio import atomic_open, read_lines
 
 
 def test_atomic_open_replaces_the_file_on_a_clean_exit(tmp_path):
@@ -42,3 +44,24 @@ def test_atomic_open_creates_files_with_the_umask_mode(tmp_path):
     finally:
         os.umask(umask)
     assert stat.S_IMODE((tmp_path / "a").stat().st_mode) == 0o644
+
+
+@given(st.lists(st.sampled_from(["a", "\n", "\r", "\r\n", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\ufeff", "é"])).map("".join))
+def test_read_lines_splits_as_a_text_mode_file(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("lines") / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as f:
+        assert read_lines(path) == list(f)
+
+
+@pytest.mark.parametrize("blob, lineno", [
+    (b"\xff", 1),
+    (b"a\nb\xe2\x82\n", 2),
+    (b"a\r\nb\rc\n\n\xc0\x80", 5),
+])
+def test_read_lines_names_the_line_of_the_first_bad_byte(tmp_path, blob, lineno):
+    path = tmp_path / "f.txt"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedLine) as exc:
+        read_lines(path)
+    assert exc.value.lineno == lineno

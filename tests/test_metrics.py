@@ -11,6 +11,7 @@ from ddsi.errors import (
     EmptyDocument,
     EmptyInput,
     EmptyRun,
+    MalformedLine,
     TokenOutOfRange,
     TooFewDocs,
 )
@@ -239,6 +240,19 @@ def test_ngd_matches_oracle(docs):
     assert ngd(docs) == oracle_ngd(docs)
 
 
+@pytest.mark.parametrize("cells", [1, 100, 300, 1 << 16])
+def test_ngd_sets_counted_in_groups_match_the_oracle(monkeypatch, cells):
+    # NGD_CELLS 1 counts one set per group, 100 and 300 two and six, 1 << 16 all at once
+    metrics_module = importlib.import_module("ddsi.metrics")
+    monkeypatch.setattr(metrics_module, "NGD_CELLS", cells)
+    rng = Xoshiro256StarStar(17)
+    docs = [[rng.randbelow(4) for _ in range(1 + rng.randbelow(9))] for _ in range(12)]
+    tok, lengths = kernels.pack_token_matrix(docs)
+    sets = [np.array([rng.randbelow(12) for _ in range(1 + rng.randbelow(5))]) for _ in range(30)]
+    got = metrics_module._ngd_sets(tok, lengths, sets)
+    assert got.tolist() == [oracle_ngd([docs[i] for i in rows]) for rows in sets]
+
+
 def test_compression_ratio_repetitive_vs_random():
     line = "abcdefghijklmnopqrst"  # 20 bytes
     repetitive = [line] * 500  # ~10 kB
@@ -378,6 +392,28 @@ def test_report_tsv_column_mismatch(tmp_path):
     path.write_text("dataset\talpha\thits1\n")
     with pytest.raises(ColumnMismatch):
         read_report_tsv(path)
+
+
+@pytest.mark.parametrize("column, cell", [("hits5", "0.7x5"), ("num_queries", "8.0")])
+def test_report_tsv_bad_number_is_a_column_mismatch(tmp_path, column, cell):
+    report = MetricsReport(hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625, rouge_l_hom=0.1, ngd=3.25, cr=1.75, num_queries=8)
+    path = tmp_path / "report.tsv"
+    write_report_tsv(report, path, dataset="synth", alpha=0.5)
+    header, row = path.read_text().splitlines()
+    cells = row.split("\t")
+    cells[header.split("\t").index(column)] = cell
+    path.write_text(header + "\n\n" + "\t".join(cells) + "\n")
+    with pytest.raises(ColumnMismatch, match=":3:"):
+        read_report_tsv(path)
+
+
+@pytest.mark.parametrize("read", [read_report_tsv, read_run])
+def test_run_and_report_readers_name_the_line_of_bad_utf8(tmp_path, read):
+    path = tmp_path / "f.tsv"
+    path.write_bytes(b"dataset\talpha\n\n0\t1\t1\t0.5\xc3\n")
+    with pytest.raises(MalformedLine) as exc:
+        read(path)
+    assert exc.value.lineno == 3
 
 
 def test_format_table_sorts_by_alpha_desc(tmp_path):

@@ -44,6 +44,16 @@ def test_init_draws_embed_hidden_cls_row_major():
     assert not p.hidden_b.any() and not p.cls_b.any()
 
 
+@pytest.mark.parametrize("dims, digest", [
+    ((1101, 64, 200, 7), "47cc266b17fc1e8487fb3dd44dde718f3820da0d0fa488ddf4d7690421fa6fc6"),
+    ((2501, 64, 200, 12), "beda1280c58436d3da6864088d56968eba9ff039030418e473b337928dad12af"),
+    ((3, 2, 5, 0), "ad81cc169023e685b00b45c78c620b34fbb5cb0bf1442179643a5e69a74fcb0f"),
+])
+def test_init_model_bytes_are_pinned(dims, digest):
+    # recorded from the one-draw-at-a-time fill; the standard and long-document corpora's dims
+    assert hashlib.sha256(init_model(*dims).flat.tobytes()).hexdigest() == digest
+
+
 def test_init_seed_changes_weights():
     a = init_model(10, 4, 5, 1)
     b = init_model(10, 4, 5, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ddsi.rng import Xoshiro256StarStar, mix_seed, splitmix64_next
+from ddsi.rng import Xoshiro256StarStar, lane_shape, mix_seed, splitmix64_next
 
 MASK = (1 << 64) - 1
 
@@ -98,15 +98,40 @@ def test_sample_indices_k_too_large():
         Xoshiro256StarStar(0).sample_indices(3, 4)
 
 
+def assert_fill_uniform_equals_uniform_calls(seed, n, lo, hi):
+    a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    want = [a.uniform(lo, hi) for _ in range(n)]
+    got = b.fill_uniform(n, lo, hi)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+    assert b.next_u64() == a.next_u64()
+
+
 @given(
     st.integers(min_value=0, max_value=2**64 - 1),
-    st.integers(min_value=0, max_value=300),
+    st.integers(min_value=0, max_value=5000),
     st.floats(min_value=-1e6, max_value=1e6),
     st.floats(min_value=-1e6, max_value=1e6),
 )
 def test_fill_uniform_equals_uniform_calls(seed, n, lo, hi):
-    a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-    want = [a.uniform(lo, hi) for _ in range(n)]
-    got = b.fill_uniform(n, lo, hi)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
-    assert b.next_u64() == a.next_u64()
+    assert_fill_uniform_equals_uniform_calls(seed, n, lo, hi)
+
+
+@pytest.mark.parametrize("lanes_wanted", [2, 30, 50])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fill_uniform_at_whole_lanes_and_one_either_side(lanes_wanted, offset):
+    # lane length c with lanes_wanted * c a whole number of lanes of itself
+    c = 2 * lanes_wanted
+    whole = lanes_wanted * c
+    assert lane_shape(whole) == (lanes_wanted, c)
+    n = whole + offset
+    lanes, length = lane_shape(n)
+    if offset == 1:
+        assert n == (lanes - 1) * length + 1  # the last lane makes one draw
+    assert_fill_uniform_equals_uniform_calls(lanes_wanted * 31 + offset, n, -0.125, 0.125)
+
+
+def test_lane_shape_covers_n_with_every_lane_used():
+    for n in range(1, 3000):
+        lanes, length = lane_shape(n)
+        assert (lanes - 1) * length < n <= lanes * length

@@ -20,6 +20,7 @@ from ddsi.rng import Xoshiro256StarStar, mix_seed
 from ddsi.train import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     EpochStats,
     TrainConfig,
@@ -352,15 +353,14 @@ def test_adam_matches_reference_two_steps():
     assert params.hidden_b[0] == pytest.approx(theta, abs=1e-15)
 
 
-def test_adam_steps_match_whole_vector_expressions():
+def assert_adam_steps_match_whole_vector_expressions(params, cfg, grads_at):
     # the update as whole-vector numpy expressions with temporaries, bit for bit
-    params, batch, cfg = make_instance(45, 0.5)
     state = init_optimizer_state(params, cfg)
     theta = params.flat.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for t in range(1, 51):
-        _, grads = backward(params, batch, cfg)
+        grads = grads_at(t)
         g = grads.flat
         step(params, grads, state, cfg)
         m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
@@ -371,6 +371,20 @@ def test_adam_steps_match_whole_vector_expressions():
         assert state.m.tobytes() == m.tobytes()
         assert state.v.tobytes() == v.tobytes()
         assert params.flat.tobytes() == theta.tobytes(), f"step {t}"
+
+
+def test_adam_steps_match_whole_vector_expressions():
+    params, batch, cfg = make_instance(45, 0.5)
+    assert_adam_steps_match_whole_vector_expressions(params, cfg, lambda t: backward(params, batch, cfg)[1])
+
+
+def test_adam_steps_match_whole_vector_expressions_over_blocks_and_a_tail():
+    dims = (1100, 64, 200)
+    params = init_model(*dims, 45)
+    assert params.flat.size // ADAM_BLOCK == 2 and params.flat.size % ADAM_BLOCK
+    noise = np.sin(np.arange(params.flat.size) * 0.7)
+    assert_adam_steps_match_whole_vector_expressions(
+        params, TrainConfig(), lambda t: ModelParams(noise * (t % 5 - 2.5), *dims))
 
 
 def test_warm_adam_step_allocates_less_than_one_flat_vector():
