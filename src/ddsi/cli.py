@@ -95,6 +95,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         optimizer=args.optimizer,
+        dim=args.dim,
     )
     cfg.validate()
     corpus = load_corpus(args.corpus)
@@ -190,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
     p.add_argument("--seed", type=int, default=train_defaults.seed)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default=train_defaults.optimizer)
+    p.add_argument("--dim", type=int, default=train_defaults.dim, help="embedding and hidden width")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

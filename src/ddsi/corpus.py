@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     EmptyDocument,
@@ -23,6 +24,8 @@ from .fileio import atomic_open, read_lines
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# on ASCII text _WORD_RE's words are the runs of [a-z0-9] once lowercased
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not (c.isdigit() or "a" <= c <= "z")})
 
 UNKNOWN_TOKEN = "<unk>"
 UNKNOWN_INDEX = 0
@@ -33,7 +36,10 @@ _SHARED_RATE = 0.2
 
 def split_words(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
-    return _WORD_RE.findall(text.lower())
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_SEPARATORS).split()
+    return _WORD_RE.findall(text)
 
 
 class Vocab:
@@ -42,16 +48,17 @@ class Vocab:
     def __init__(self, words: list[str] | None = None):
         self.index_to_token = [UNKNOWN_TOKEN]
         self.token_to_index = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
-        for w in words or []:
-            self.add(w)
+        self.add_all(words or [])
 
-    def add(self, word: str) -> int:
-        idx = self.token_to_index.get(word)
-        if idx is None:
-            idx = len(self.index_to_token)
-            self.token_to_index[word] = idx
-            self.index_to_token.append(word)
-        return idx
+    def add_all(self, words: list[str]) -> list[int]:
+        """The indices of words, each new word getting the next free index
+        at its first appearance."""
+        index = self.token_to_index
+        for w in dict.fromkeys(words):  # first appearances, in order
+            if w not in index:
+                index[w] = len(self.index_to_token)
+                self.index_to_token.append(w)
+        return list(map(index.__getitem__, words))
 
     @property
     def size(self) -> int:
@@ -59,7 +66,8 @@ class Vocab:
 
     def tokenize(self, text: str) -> list[int]:
         """Map text to vocab indices; unknown words map to 0."""
-        return [self.token_to_index.get(w, UNKNOWN_INDEX) for w in split_words(text)]
+        words = split_words(text)
+        return list(map(self.token_to_index.get, words, repeat(UNKNOWN_INDEX, len(words))))
 
 
 @dataclass
@@ -103,7 +111,7 @@ def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
         if not words:
             raise EmptyDocument(docid)
         # ids never change once given, so these are vocab.tokenize(body)
-        documents.append(Document(docid=docid, title=title, body=body, tokens=[vocab.add(w) for w in words]))
+        documents.append(Document(docid=docid, title=title, body=body, tokens=vocab.add_all(words)))
     return Corpus(documents=documents, vocab=vocab)
 
 

@@ -254,7 +254,10 @@ def write_run(run: EvalRun, path) -> None:
 
 
 def read_run(path) -> list[RankedList]:
+    """Read write_run's format. Each qid's lines give ranks 1..n in file
+    order, with no docid twice."""
     by_qid: dict[int, RankedList] = {}
+    seen: dict[int, set[int]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.rstrip("\n")
         if not line:
@@ -263,10 +266,17 @@ def read_run(path) -> list[RankedList]:
         if len(parts) != 4:
             raise MalformedLine(path, lineno, "expected qid<TAB>docid<TAB>rank<TAB>score")
         try:
-            qid, docid, _rank, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            qid, docid, rank, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
         except ValueError as e:
             raise MalformedLine(path, lineno, str(e)) from e
-        by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries.append((docid, score))
+        entries = by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries
+        docids = seen.setdefault(qid, set())
+        if rank != len(entries) + 1:
+            raise MalformedLine(path, lineno, f"qid {qid}: rank {rank} where {len(entries) + 1} is next")
+        if docid in docids:
+            raise MalformedLine(path, lineno, f"qid {qid}: docid {docid} ranked twice")
+        docids.add(docid)
+        entries.append((docid, score))
     return list(by_qid.values())
 
 

@@ -6,9 +6,11 @@ bit-reproducible across platforms and language runtimes. numpy's
 Generator is deliberately not used here: its bit streams are not part
 of any cross-implementation contract.
 
-`fill_uniform` makes the same stream as one draw at a time, but steps
-many lanes of it together: this generator in numpy integer arithmetic
-on uint64 arrays, still not numpy's Generator. The transition is linear
+The generator makes the same stream as stepping one draw at a time
+(the tests keep that per-draw form as the oracle), but steps many lanes
+of it together, a block at a time: this generator in numpy integer
+arithmetic on uint64 arrays, still not numpy's Generator. Every method
+draws from those blocks. The transition is linear
 over GF(2) (Blackman & Vigna, "Scrambled linear pseudorandom number
 generators", ACM TOMS 2021), so a 256x256 bit matrix, the transition
 raised to the lane length, starts each lane that many draws past the
@@ -17,6 +19,7 @@ one before it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -49,48 +52,81 @@ def mix_seed(*parts: int) -> int:
     return out
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+_U17, _U45, _U19 = np.uint64(17), np.uint64(45), np.uint64(19)
 
 
 def _step_columns(state: np.ndarray, t: np.ndarray) -> None:
     """One xoshiro256** transition of every column of the (4, L) uint64
     state, in place; t is an (L,) work vector."""
     s0, s1, s2, s3 = state
-    np.left_shift(s1, np.uint64(17), out=t)
-    s2 ^= s0
-    s3 ^= s1
-    s1 ^= s2
-    s0 ^= s3
-    s2 ^= t
-    np.left_shift(s3, np.uint64(45), out=t)
-    s3 >>= np.uint64(19)
-    s3 |= t
+    np.left_shift(s1, _U17, out=t)
+    np.bitwise_xor(s2, s0, out=s2)
+    np.bitwise_xor(s3, s1, out=s3)
+    np.bitwise_xor(s1, s2, out=s1)
+    np.bitwise_xor(s0, s3, out=s0)
+    np.bitwise_xor(s2, t, out=s2)
+    np.left_shift(s3, _U45, out=t)
+    np.right_shift(s3, _U19, out=s3)
+    np.bitwise_or(s3, t, out=s3)
 
 
+@functools.lru_cache(maxsize=32)
 def _jump_rows(steps: int) -> np.ndarray:
-    """(256, 4) uint64: row b is what `steps` transitions make of the state
-    whose only set bit is bit b % 64 of word b // 64. Any state's image is
-    the XOR of the rows of its set bits."""
+    """(256, 4) uint64, read-only: row b is what `steps` transitions make of
+    the state whose only set bit is bit b % 64 of word b // 64. Any state's
+    image is the XOR of the rows of its set bits."""
     bit = np.arange(256)
     state = np.zeros((4, 256), dtype=np.uint64)
     state[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
     t = np.empty(256, dtype=np.uint64)
     for _ in range(steps):
         _step_columns(state, t)
-    return state.T.copy()
+    rows = state.T.copy()
+    rows.flags.writeable = False
+    return rows
+
+
+def _jump_table(rows: np.ndarray) -> np.ndarray:
+    """(64, 16, 4) uint64: entry [i, v] is the XOR of the jump rows of the
+    set bits of v as nibble i (low nibble first) of a state's little-endian
+    bytes, so a state's image is the XOR of one entry per nibble."""
+    rows = rows.reshape(64, 4, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for k in range(4):  # entries [2^k, 2^(k+1)) are entries [0, 2^k) with bit k set
+        np.bitwise_xor(table[:, : 1 << k], rows[:, k, None, :], out=table[:, 1 << k : 2 << k])
+    return table
+
+
+_NIBBLE_INDEX = np.arange(64)
+_NIBBLES = np.array([(b & 15, b >> 4) for b in range(256)])  # byte -> (low, high)
 
 
 def lane_shape(n: int) -> tuple[int, int]:
-    """(lanes, draws per lane) with which fill_uniform makes n >= 1 draws: a
+    """(lanes, draws per lane) with which a block of n >= 1 draws is made: a
     lane length near sqrt(2n), so that stepping the 256 unit states to
     build the lane jump costs about what stepping the lanes does."""
     length = max(1, math.isqrt(2 * n))
     return -(-n // length), length
 
 
+# A block makes at least this many draws, doubling per block up to
+# _MAX_BLOCK: a generator asked for a few draws makes few, one asked for
+# many makes them in blocks long enough that the lanes pay. Consumers read
+# a block as Python ints _LISTED at a time, which keeps the int objects
+# alive at once, and the heap they leave behind, small.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 14
+_LISTED = 1024
+
+
 class Xoshiro256StarStar:
-    """xoshiro256** generator; state seeded via four splitmix64 outputs."""
+    """xoshiro256** generator; state seeded via four splitmix64 outputs.
+
+    Every method consumes one stream: the ints in `_buf` from `_pos` on,
+    then the uint64 outputs in `_ahead`, then those that follow state `_s`,
+    which `_raw` makes a lane-parallel block at a time. Draws, and their
+    order, are those of stepping the state once per output.
+    """
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -99,18 +135,54 @@ class Xoshiro256StarStar:
             state, out = splitmix64_next(state)
             s.append(out)
         self._s = s
+        self._buf: list[int] = []
+        self._pos = 0
+        self._ahead = np.empty(0, dtype=np.uint64)
+        self._block = _FIRST_BLOCK
+
+    def _raw(self, n: int) -> np.ndarray:
+        """The next n outputs after state `_s` as uint64, advancing `_s` past
+        them."""
+        if n <= 0:
+            return np.empty(0, dtype=np.uint64)
+        lanes, length = lane_shape(n)
+        starts = np.empty((lanes, 4), dtype=np.uint64)
+        starts[0] = self._s
+        if lanes > 1:
+            jump = _jump_table(_jump_rows(length))
+            for j in range(1, lanes):
+                nibbles = _NIBBLES[starts[j - 1].astype("<u8", copy=False).view(np.uint8)].reshape(64)
+                np.bitwise_xor.reduce(jump[_NIBBLE_INDEX, nibbles], axis=0, out=starts[j])
+        state = starts.T.copy()
+        s1_seen = np.empty((length, lanes), dtype=np.uint64)
+        s1 = state[1]
+        t = np.empty(lanes, dtype=np.uint64)
+        last = n - (lanes - 1) * length  # draws taken from the last lane
+        for i in range(length):
+            s1_seen[i] = s1
+            _step_columns(state, t)
+            if i + 1 == last:
+                self._s = [int(x) for x in state[:, -1]]
+        x = s1_seen.T.reshape(-1)[:n] * np.uint64(5)
+        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+
+    def _refill(self, want: int) -> list[int]:
+        """Replace the spent `_buf` with the next outputs as ints: those in
+        `_ahead`, or a new block of at least `want`. The caller consumes them
+        from index 0 and stores its position in `_pos`."""
+        if not len(self._ahead):
+            self._ahead = self._raw(max(want, self._block))
+            self._block = min(2 * self._block, _MAX_BLOCK)
+        self._buf = buf = self._ahead[:_LISTED].tolist()
+        self._ahead = self._ahead[_LISTED:]
+        return buf
 
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s[1] << 17) & _MASK64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        buf, pos = self._buf, self._pos
+        if pos == len(buf):
+            buf, pos = self._refill(1), 0
+        self._pos = pos + 1
+        return buf[pos]
 
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
@@ -124,45 +196,49 @@ class Xoshiro256StarStar:
         leaving the state where those calls would."""
         if n <= 0:
             return np.empty(0)
-        lanes, length = lane_shape(n)
-        starts = np.empty((lanes, 4), dtype=np.uint64)
-        starts[0] = self._s
-        if lanes > 1:
-            jump = _jump_rows(length)
-            for j in range(1, lanes):
-                bits = np.unpackbits(starts[j - 1].astype("<u8").view(np.uint8), bitorder="little")
-                starts[j] = np.bitwise_xor.reduce(jump[bits.astype(bool)], axis=0)
-        state = starts.T.copy()
-        s1_seen = np.empty((length, lanes), dtype=np.uint64)
-        s1 = state[1]
-        t = np.empty(lanes, dtype=np.uint64)
-        last = n - (lanes - 1) * length  # draws taken from the last lane
-        for i in range(length):
-            s1_seen[i] = s1
-            _step_columns(state, t)
-            if i + 1 == last:
-                self._s = [int(x) for x in state[:, -1]]
-        x = s1_seen.T.reshape(-1)[:n] * np.uint64(5)
-        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        listed = self._buf[self._pos : self._pos + n]
+        self._pos += len(listed)
+        ahead = self._ahead[: n - len(listed)]
+        self._ahead = self._ahead[len(ahead) :]
+        x = self._raw(n - len(listed) - len(ahead))
+        if listed or len(ahead):
+            x = np.concatenate([np.array(listed, dtype=np.uint64), ahead, x])
         return lo + (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) * (hi - lo)
+
+    def _below(self, bounds) -> list[int]:
+        """One uniform integer in [0, b) per b of the sized sequence bounds,
+        each by masked rejection (unbiased), in order."""
+        out = []
+        buf, pos = self._buf, self._pos
+        end = len(buf)
+        for n in bounds:
+            mask = (1 << n.bit_length()) - 1
+            r = n
+            while r >= n:
+                if pos == end:
+                    # a bound takes at most 2 draws on average, a shuffle's
+                    # 1.4, so this refill rarely falls short or overshoots
+                    left = len(bounds) - len(out)
+                    buf, pos = self._refill(left + (left >> 1) + 16), 0
+                    end = len(buf)
+                r = buf[pos] & mask
+                pos += 1
+            out.append(r)
+        self._pos = pos
+        return out
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection (unbiased)."""
         if n <= 0:
             raise ValueError("randbelow requires n >= 1")
-        mask = (1 << n.bit_length()) - 1
-        while True:
-            r = self.next_u64() & mask
-            if r < n:
-                return r
+        return self._below((n,))[0]
 
     def choice(self, seq):
         return seq[self.randbelow(len(seq))]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, high index down."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        for i, j in zip(range(len(items) - 1, 0, -1), self._below(range(len(items), 1, -1))):
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
@@ -171,8 +247,8 @@ class Xoshiro256StarStar:
             raise ValueError("sample_indices requires k <= n")
         pool = list(range(n))
         out = []
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        for i, r in enumerate(self._below(range(n, n - k, -1))):
+            j = i + r
             pool[i], pool[j] = pool[j], pool[i]
             out.append(pool[i])
         return out

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -58,6 +59,32 @@ def test_generate_deterministic(tmp_path):
         assert sha(a / name) == sha(b / name)
 
 
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (
+            ["--seed", "7"],
+            {
+                "corpus.jsonl": "d0bc895be50bd62f8208f43100cd9d29493fdb3bb99ab1a2077aa2bdbad13bdf",
+                "train.tsv": "12e04dfa013a2284115cd792fd9aa8df41c8e2d64a965395171cd69d4324e7da",
+                "test.tsv": "b45446d628e51d93efe23b87f482e91d47904aff5d706d5bc51c0d85191a520a",
+            },
+        ),
+        (
+            ["--doc-len", "160", "--vocab-per-topic", "120", "--seed", "12"],
+            {
+                "corpus.jsonl": "1b175eb6233b3698ce8a104e01cf50cad84795ff91ec1f0234ad205d71fb5c96",
+                "train.tsv": "4067cb1150ccf11fa9139f0b898e11620dde89da3a37bd8989b4aafb1701c116",
+                "test.tsv": "797c122f72758845279e7783b556a0d467801ef23516565652eddea6297b3581",
+            },
+        ),
+    ],
+)
+def test_generate_bytes_are_pinned(tmp_path, argv, digests):
+    assert main(["generate", *argv, "--out", str(tmp_path)]) == 0
+    assert {name: sha(tmp_path / name) for name in digests} == digests
+
+
 def test_generate_requires_out():
     assert main(["generate", "--topics", "2"]) == 2
 
@@ -104,6 +131,33 @@ def test_train_deterministic(workspace, tmp_path):
     assert main([*args, "--out", str(b)]) == 0
     assert sha(a / "checkpoint.bin") == sha(b / "checkpoint.bin")
     assert sha(a / "history.tsv") == sha(b / "history.tsv")
+
+
+def test_train_dim_sets_the_checkpoint_width_and_eval_reads_it(workspace, tmp_path):
+    _, data, run = workspace
+    out = tmp_path / "m"
+    assert main([
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+        "--k", "4", "--epochs", "1", "--batch-size", "8", "--dim", "8", "--out", str(out),
+    ]) == 0
+    _, _, vocab_size, dim, num_docs = struct.unpack("<4sIIII", (out / "checkpoint.bin").read_bytes()[:20])
+    default = load_checkpoint(run / "checkpoint.bin")
+    assert (vocab_size, dim, num_docs) == (default.vocab_size, 8, default.num_docs)
+    assert json.loads((out / "manifest.json").read_text())["config"]["dim"] == 8
+    assert main([
+        "eval", "--checkpoint", str(out / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--out", str(tmp_path / "eval"),
+    ]) == 0
+
+
+def test_train_rejects_dim_zero(workspace, tmp_path):
+    _, data, _ = workspace
+    code = main([
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+        "--dim", "0", "--out", str(tmp_path / "m"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "m").exists()
 
 
 def test_train_missing_corpus(tmp_path):

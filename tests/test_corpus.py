@@ -1,6 +1,8 @@
 import json
+import string
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ddsi.corpus import (
     Corpus,
@@ -11,6 +13,7 @@ from ddsi.corpus import (
     load_queries,
     save_corpus,
     save_queries,
+    _WORD_RE,
     split_words,
 )
 from ddsi.errors import (
@@ -48,6 +51,15 @@ def test_tokenize_unknown_maps_to_zero():
 
 def test_split_words_rules():
     assert split_words("Foo-bar_baz 42x!") == ["foo", "bar", "baz", "42x"]
+
+
+_ASCII_BIASED = st.sampled_from(list(string.ascii_letters[::5] + string.punctuation + string.digits + "_\x1c \t\n\x7f"))
+_NON_ASCII = st.one_of(st.sampled_from(["İ", "\u0301", "\u0307", "\u20dd", "K", "ß", "\u00a0"]), st.characters())
+
+
+@given(st.one_of(st.text(_ASCII_BIASED), st.text(st.one_of(_ASCII_BIASED, _NON_ASCII))))
+def test_split_words_equals_the_word_regex(text):
+    assert split_words(text) == _WORD_RE.findall(text.lower())
 
 
 def test_vocab_bijective():

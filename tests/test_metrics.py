@@ -362,6 +362,23 @@ def test_run_file_roundtrip(tmp_path, small_world):
         assert a.entries == b.entries
 
 
+def test_read_run_rejects_a_docid_ranked_twice_in_one_query(tmp_path):
+    path = tmp_path / "run.tsv"
+    path.write_text("0\t3\t1\t0.5\n0\t4\t2\t0.4\n1\t4\t1\t0.9\n0\t3\t3\t0.1\n")
+    with pytest.raises(MalformedLine, match="docid 3") as exc:
+        read_run(path)
+    assert exc.value.lineno == 4
+
+
+@pytest.mark.parametrize("ranks, bad_line", [((2,), 1), ((1, 3), 2), ((1, 2, 2), 3), ((1, 0), 2)])
+def test_read_run_rejects_ranks_that_are_not_1_to_n_in_file_order(tmp_path, ranks, bad_line):
+    path = tmp_path / "run.tsv"
+    path.write_text("".join(f"5\t{i}\t{rank}\t0.5\n" for i, rank in enumerate(ranks)))
+    with pytest.raises(MalformedLine, match="rank") as exc:
+        read_run(path)
+    assert exc.value.lineno == bad_line
+
+
 def test_report_tsv_roundtrip(tmp_path):
     report = MetricsReport(
         hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625,

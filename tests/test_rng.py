@@ -1,10 +1,71 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ddsi.rng import Xoshiro256StarStar, lane_shape, mix_seed, splitmix64_next
 
 MASK = (1 << 64) - 1
+
+
+def rotl64(x, k):
+    return ((x << k) | (x >> (64 - k))) & MASK
+
+
+class PerDrawXoshiro:
+    """xoshiro256** stepped once per output in Python integers, every
+    consumer drawing through next_u64: the oracle for the buffered,
+    lane-parallel Xoshiro256StarStar."""
+
+    def __init__(self, seed):
+        state = seed & MASK
+        self.s = []
+        for _ in range(4):
+            state, out = splitmix64_next(state)
+            self.s.append(out)
+
+    def next_u64(self):
+        s = self.s
+        result = (rotl64((s[1] * 5) & MASK, 7) * 9) & MASK
+        t = (s[1] << 17) & MASK
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = rotl64(s[3], 45)
+        return result
+
+    def random(self):
+        return (self.next_u64() >> 11) * (2.0 ** -53)
+
+    def uniform(self, lo, hi):
+        return lo + self.random() * (hi - lo)
+
+    def fill_uniform(self, n, lo, hi):
+        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+
+    def randbelow(self, n):
+        mask = (1 << n.bit_length()) - 1
+        while True:
+            r = self.next_u64() & mask
+            if r < n:
+                return r
+
+    def shuffle(self, items):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randbelow(i + 1)
+            items[i], items[j] = items[j], items[i]
+
+    def sample_indices(self, n, k):
+        pool = list(range(n))
+        out = []
+        for i in range(k):
+            j = i + self.randbelow(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+            out.append(pool[i])
+        return out
 
 
 def reference_stream(seed, count):
@@ -41,6 +102,74 @@ def test_stream_matches_independent_build(seed):
     rng = Xoshiro256StarStar(seed)
     got = [rng.next_u64() for _ in range(64)]
     assert got == reference_stream(seed, 64)
+    oracle = PerDrawXoshiro(seed)
+    assert [oracle.next_u64() for _ in range(64)] == got
+
+
+_FLOATS = st.floats(min_value=-1e6, max_value=1e6)
+_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["next_u64", "random"]), st.integers(min_value=1, max_value=300)),
+    st.tuples(st.just("uniform"), _FLOATS, _FLOATS),
+    st.tuples(st.just("randbelow"), st.integers(min_value=1, max_value=300), st.integers(min_value=1, max_value=2**64)),
+    st.tuples(st.just("shuffle"), st.integers(min_value=0, max_value=1200)),
+    st.integers(min_value=0, max_value=400).flatmap(
+        lambda n: st.tuples(st.just("sample_indices"), st.just(n), st.integers(min_value=0, max_value=n))
+    ),
+    st.tuples(st.just("fill_uniform"), st.integers(min_value=0, max_value=5000), _FLOATS, _FLOATS),
+)
+
+
+def _consume(rng, call):
+    """What one call (or a run of repeated calls) gives, comparable by ==."""
+    name, *args = call
+    if name in ("next_u64", "random"):
+        return [getattr(rng, name)() for _ in range(args[0])]
+    if name == "randbelow":
+        count, n = args
+        return [rng.randbelow(n) for _ in range(count)]
+    if name == "shuffle":
+        items = list(range(args[0]))
+        rng.shuffle(items)
+        return items
+    if name == "fill_uniform":
+        return [x.hex() for x in rng.fill_uniform(*args).tolist()]
+    return getattr(rng, name)(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(_CALLS, max_size=12))
+def test_buffered_stream_equals_per_draw_oracle(seed, calls):
+    fast, slow = Xoshiro256StarStar(seed), PerDrawXoshiro(seed)
+    for call in calls:
+        assert _consume(fast, call) == _consume(slow, call), call
+    assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize("draws", [1984, 3007, 3008, 3009])
+def test_fill_uniform_after_single_draws_up_to_a_listed_chunk_edge(draws):
+    # single draws make blocks of 64, 128, ..., 1024 (1,984 draws), then one
+    # of 2,048 that is listed 1,024 at a time: after 3,008 draws the listed
+    # ints are spent and 1,024 draws wait unlisted
+    fast, slow = Xoshiro256StarStar(99), PerDrawXoshiro(99)
+    assert [fast.next_u64() for _ in range(draws)] == [slow.next_u64() for _ in range(draws)]
+    assert fast.fill_uniform(1500, 0.0, 1.0).tolist() == slow.fill_uniform(1500, 0.0, 1.0).tolist()
+    assert fast.next_u64() == slow.next_u64()
+
+
+@pytest.mark.parametrize(
+    "epoch, head, digest",
+    [
+        (0, [276, 803, 815, 456, 810, 355, 798, 555], "b04aef9ffbfb2572b142da5f5e56220f638aacc5a0789072fa841fa65e02289c"),
+        (1, [262, 64, 680, 234, 514, 27, 549, 623], "59acaddef16f8c95cc2306732559e1f70c2f284c30b057e7e3deb915de972ebd"),
+        (29, [766, 574, 180, 797, 804, 94, 466, 593], "79b26fdf7467b2784835633ac8cadce58cdae2b67f342b19e33d831a4ec8dd0c"),
+    ],
+)
+def test_epoch_shuffle_of_820_items_is_pinned(epoch, head, digest):
+    # train() shuffles its queries with this generator each epoch
+    items = list(range(820))
+    Xoshiro256StarStar(mix_seed(12, epoch)).shuffle(items)
+    assert items[:8] == head
+    assert hashlib.sha256(",".join(map(str, items)).encode()).hexdigest() == digest
 
 
 def test_splitmix_advances_state():
@@ -99,7 +228,7 @@ def test_sample_indices_k_too_large():
 
 
 def assert_fill_uniform_equals_uniform_calls(seed, n, lo, hi):
-    a, b = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    a, b = PerDrawXoshiro(seed), Xoshiro256StarStar(seed)
     want = [a.uniform(lo, hi) for _ in range(n)]
     got = b.fill_uniform(n, lo, hi)
     assert got.dtype == np.float64 and got.shape == (n,)
