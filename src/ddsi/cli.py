@@ -116,6 +116,8 @@ def cmd_eval(args) -> int:
     # the report's Hits@5, Hits@10 and MRR@10 need a run at least that deep
     if args.cutoff < min(10, corpus.num_docs):
         raise InvalidConfig(f"--cutoff {args.cutoff} is below min(10, N={corpus.num_docs})")
+    if args.cutoff > corpus.num_docs:
+        raise InvalidConfig(f"--cutoff {args.cutoff} exceeds N={corpus.num_docs}")
     queries = load_queries(args.queries, corpus)
     params = _load_params(args.checkpoint, corpus)
     run = metrics.run_queries(params, queries, args.cutoff)
@@ -137,6 +139,8 @@ def cmd_rerank(args) -> int:
     cfg = MmrConfig(lambda_=args.lambda_, m=args.m, pool=args.pool)
     cfg.validate()
     corpus = load_corpus(args.corpus)
+    if cfg.pool > corpus.num_docs:
+        raise InvalidConfig(f"--pool {cfg.pool} exceeds N={corpus.num_docs}")
     queries = load_queries(args.queries, corpus)
     params = _load_params(args.checkpoint, corpus)
     rankings = retrieve_then_rerank(params, queries, cfg)

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import KOutOfRange
 
 PROB_FLOOR = 1e-12
+# add_rows_at adds the occurrences of an id seen more often than this
+# with np.add.at rather than one layer each
+ADD_LAYER_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +146,12 @@ def encode(embed, hidden_w, hidden_b, tok, lengths) -> tuple[np.ndarray, np.ndar
     Returns (pooled, act): the (B, d) mean token embeddings and
     tanh(pooled @ hidden_w.T + hidden_b).
     """
-    mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
-    safe = np.where(mask, tok, 0)
-    pooled = (embed[safe] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
+    if (lengths == tok.shape[1]).all():
+        # no padding: the mask would only multiply by 1.0
+        pooled = embed[tok].sum(axis=1) / lengths[:, None]
+    else:
+        mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
+        pooled = (embed[np.where(mask, tok, 0)] * mask[:, :, None]).sum(axis=1) / lengths[:, None]
     act = np.tanh(pooled @ hidden_w.T + hidden_b)
     return pooled, act
 
@@ -155,19 +161,68 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     n = scores.shape[-1]
     if not 1 <= k <= n:
         raise KOutOfRange(f"K={k} outside [1, {n}]")
-    return np.argsort(-scores, axis=-1, kind="stable")[..., :k]
+    neg = -scores.reshape(-1, n)
+    out = np.empty((neg.shape[0], k), dtype=np.int64)
+    # a row with exactly k values at or above its k-th stable-sorts only those;
+    # any other (a tie across the k-th place, a NaN there, k == n) sorts whole
+    fast = np.zeros(neg.shape[0], dtype=bool)
+    if k < n:
+        cand = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        fast = cand.sum(axis=1) == k
+        idx = np.nonzero(cand[fast])[1].reshape(-1, k)
+        by_score = np.argsort(np.take_along_axis(neg[fast], idx, axis=1), axis=1, kind="stable")
+        out[fast] = np.take_along_axis(idx, by_score, axis=1)
+    if not fast.all():
+        out[~fast] = np.argsort(neg[~fast], axis=1, kind="stable")[:, :k]
+    return out.reshape(scores.shape[:-1] + (k,))
 
 
-def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """np.add.at(out, ids, rows), bit for bit, for a 2-D out whose rows at ids are zero.
+def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray, src: np.ndarray | None = None) -> None:
+    """out[ids[i]] += rows[src[i]] for each i in order, bit for bit as np.add.at
+    adds; src defaults to 0, 1, 2, ...
 
-    One bincount over (local id, column) bins sums each bin in input order
-    from 0.0, the order np.add.at adds in.
+    The occurrences are sorted stably by id and added in layers: layer k
+    holds the k-th occurrence of each id, so the ids of a layer are
+    distinct and one add gives each element its k-th term. The target rows
+    are gathered once, ordered by falling count, so that the ids of each
+    layer are a prefix of them and each layer is one slice add. An id that
+    occurs more than ADD_LAYER_CAP times goes through np.add.at instead, so
+    one id repeated throughout a batch costs no more layers; its rows are
+    disjoint from the layered ones, so the sums stay exact.
     """
-    uniq, local = np.unique(ids, return_inverse=True)
-    d = out.shape[1]
-    bins = (local[:, None] * d + np.arange(d)).ravel()
-    out[uniq] += np.bincount(bins, weights=rows.ravel(), minlength=uniq.shape[0] * d).reshape(-1, d)
+    n = ids.shape[0]
+    if n == 0:
+        return
+    src = np.arange(n) if src is None else src
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
+    group = np.cumsum(first) - 1  # which distinct id each occurrence is
+    rank = np.arange(n) - np.flatnonzero(first)[group]  # its earlier occurrences
+    counts = np.bincount(group)
+    if counts.max() > ADD_LAYER_CAP:
+        heavy = counts[group] > ADD_LAYER_CAP
+        at = order[heavy]
+        np.add.at(out, ids[at], rows[src[at]])
+        order, group, rank = order[~heavy], group[~heavy], rank[~heavy]
+        counts[counts > ADD_LAYER_CAP] = 0
+    by_count = np.argsort(-counts, kind="stable")
+    slot = np.empty_like(by_count)
+    slot[by_count] = np.arange(by_count.shape[0])
+    sizes = np.bincount(rank)
+    # an occurrence's place in the stack: its layer's start plus its id's slot
+    placed = np.empty_like(order)
+    placed[np.cumsum(sizes)[rank] - sizes[rank] + slot[group]] = order
+    stack = rows[src[placed]]
+    targets = sorted_ids[first][by_count[: np.count_nonzero(counts)]]
+    acc = out[targets]
+    lo = 0
+    for size in sizes.tolist():
+        acc[:size] += stack[lo : lo + size]
+        lo += size
+    out[targets] = acc
 
 
 def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,9 +246,9 @@ def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Fused training pass: forward, loss terms, exact gradients
 # ---------------------------------------------------------------------------
 #
-# train_pass adds the batch gradients into `grads`, zeroed parameters of
-# the model's shapes (its arrays() in checkpoint order; the embedding
-# scatter, add_rows_at, is exact only on zeroed rows), and returns
+# train_pass adds the batch gradients into `grads`, parameters of the
+# model's shapes (its arrays() in checkpoint order; zeroed, they end up
+# holding the batch's gradients), and returns
 #   (ce_sum, div_sum, pair_evals, topk)
 # where ce_sum/div_sum are sums of per-example terms, topk is (B, K)
 # int64 (-1 filled when the diversity path is skipped), and pair_evals
@@ -241,7 +296,7 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
         denc = dhid @ hidden_w
         contrib = denc / lengths[:, None]
         mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
-        add_rows_at(g_embed, tok[mask], np.repeat(contrib, lengths, axis=0))
+        add_rows_at(g_embed, tok[mask], contrib, np.nonzero(mask)[0])
 
     div_sum = 0.0
     pair_evals = 0
@@ -257,7 +312,6 @@ def train_pass(embed, hidden_w, hidden_b, cls_w, cls_b, tok, lengths, golds, kk,
         # d(mean pair cosine)/d row_a, summed over the pairs touching a
         unit_sum = unit.sum(axis=1, keepdims=True)
         grad_rows = inv[..., None] * ((unit_sum - unit) - unit * cosines.sum(axis=2)[..., None])
-        # these rows already hold the CE gradient, so add_rows_at would regroup the sums
-        np.add.at(g_cw, topk.ravel(), (grad_rows * div_scale).reshape(bsz * kk, -1))
+        add_rows_at(g_cw, topk.ravel(), (grad_rows * div_scale).reshape(bsz * kk, -1))
 
     return ce_sum, div_sum, pair_evals, topk

@@ -214,6 +214,18 @@ def test_eval_cutoff_too_large(workspace, tmp_path):
     assert code == 2
 
 
+def test_eval_cutoff_above_n_names_the_flag(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    out = tmp_path / "e"
+    code = main([
+        "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--cutoff", "13", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--cutoff 13 exceeds N=12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_cutoff_below_report_depth(workspace, tmp_path):
     # N = 12: the report's Hits@10 and MRR@10 need a run 10 deep
     _, data, run = workspace
@@ -298,6 +310,18 @@ def test_rerank_pool_smaller_than_m(workspace, tmp_path):
         "--queries", str(data / "test.tsv"), "--pool", "4", "--m", "8", "--out", str(tmp_path / "r"),
     ])
     assert code == 2
+
+
+def test_rerank_pool_above_n_names_the_flag(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    out = tmp_path / "r"
+    code = main([
+        "rerank", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--m", "4", "--pool", "13", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--pool 13 exceeds N=12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rerank_deterministic(workspace, tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,19 +147,48 @@ def test_pack_token_matrix_pads_with_minus_one():
     np.testing.assert_array_equal(tok, [[3, 1], [2, -1]])
 
 
-@settings(max_examples=80, deadline=None)
+def _lexsort_top_k(z, k):
+    """Indices of the k highest of each row, best first, ties to the smaller index, NaN last."""
+    return [np.lexsort((np.arange(z.shape[1]), -row))[:k].tolist() for row in z]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
+    st.integers(min_value=1, max_value=7),
     st.lists(
-        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.5, 3.0]), min_size=6, max_size=6),
+        st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, 3.0, np.inf, np.nan]), min_size=7, max_size=7),
         min_size=1, max_size=5,
     ),
-    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=7),
 )
-def test_top_k_equals_lexsort_with_ties_and_signed_zeros(rows, k):
-    z = np.array(rows)
-    want = [np.lexsort((np.arange(z.shape[1]), -row))[:k].tolist() for row in z]
+def test_top_k_equals_lexsort_with_ties_and_signed_zeros(n, rows, k):
+    # a row may tie across its k-th place, hold NaN or infinities, or have k == n
+    k = min(k, n)
+    z = np.array(rows)[:, :n]
+    want = _lexsort_top_k(z, k)
     assert kernels.top_k(z, k).tolist() == want
     assert kernels.top_k(z[0], k).tolist() == want[0]
+    assert kernels.top_k(z[None], k).tolist() == [want]
+
+
+def test_top_k_sorts_only_the_candidates_of_rows_without_a_tie_at_k(monkeypatch):
+    # rows 0 and 3 have exactly k values at or above their k-th, ties among
+    # them above it; row 1 ties across the k-th place and row 2 has a NaN
+    # there, so only those two are argsorted whole
+    z = np.array([
+        [0.5, 3.0, -1.0, 3.0, 0.0, 1.0],
+        [0.5, 3.0, 2.0, 2.0, 0.0, 2.0],
+        [np.nan, 3.0, np.nan, np.nan, np.nan, np.nan],
+        [np.inf, -0.0, 0.0, -np.inf, np.nan, -2.0],
+    ])
+    k = 3
+    sorted_shapes = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_shapes.append(np.shape(a)) or argsort(a, *args, **kw))
+    got = kernels.top_k(z, k)
+    monkeypatch.undo()
+    assert got.tolist() == _lexsort_top_k(z, k) == [[1, 3, 5], [1, 2, 3], [1, 0, 2], [0, 1, 2]]
+    assert sorted(sorted_shapes) == [(2, 3), (2, 6)]
 
 
 def test_pair_cosines_batch_matches_each_stack():
@@ -245,3 +275,81 @@ def test_add_rows_at_leaves_other_rows_and_sums_in_input_order():
     # (1e16 + 1) + -1e16 is 0 in sequence, though the exact sum is 1
     assert out.tolist() == [[7.0, 7.0], [1.0, 2.0], [7.0, 7.0], [0.0, 1.0]]
     assert not np.signbit(out[3, 0])
+
+
+# starting values of out: a regrouped sum, or one that skips a term, would change their bits
+_OUT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, np.inf, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=12), min_size=1, max_size=6),
+    st.sampled_from([1, 2, kernels.ADD_LAYER_CAP]),
+    st.data(),
+)
+def test_add_rows_at_onto_any_rows_equals_add_at_bit_for_bit(num_rows, d, queries, cap, data):
+    # train_pass's call form: one row per query, gathered for each of its tokens;
+    # an id repeats within and across queries, and may pass the layer cap
+    tok, lengths = kernels.pack_token_matrix([[t % num_rows for t in q] for q in queries])
+    mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
+    ids, src = tok[mask], np.nonzero(mask)[0]
+    rows = np.array(data.draw(st.lists(st.lists(_SCATTER_VALUES, min_size=d, max_size=d),
+                                       min_size=len(queries), max_size=len(queries))), dtype=np.float64)
+    start = np.array(data.draw(st.lists(st.lists(_OUT_VALUES, min_size=d, max_size=d),
+                                        min_size=num_rows, max_size=num_rows)), dtype=np.float64)
+    want = start.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(want, ids, rows[src])
+        got = start.copy()
+        with mock.patch.object(kernels, "ADD_LAYER_CAP", cap):
+            kernels.add_rows_at(got, ids, rows, src)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cap", [kernels.ADD_LAYER_CAP, 2048])
+def test_add_rows_at_one_id_throughout_a_batch(cap):
+    # every token of a 32 x 32 batch is id 0, as for queries of unknown words;
+    # past the cap it goes through np.add.at, under it through 1,024 layers
+    rng = np.random.default_rng(6)
+    start = rng.normal(size=(5, 8))
+    rows = rng.normal(size=(32, 8))
+    src = np.repeat(np.arange(32), 32)
+    want = start.copy()
+    np.add.at(want, np.zeros(1024, np.int64), rows[src])
+    got = start.copy()
+    with mock.patch.object(kernels, "ADD_LAYER_CAP", cap):
+        kernels.add_rows_at(got, np.zeros(1024, np.int64), rows, src)
+    assert got.tobytes() == want.tobytes()
+    kernels.add_rows_at(got, np.zeros(0, np.int64), rows)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_add_rows_at_adds_onto_the_ce_gradient_in_order():
+    # rows 1 and 2 of g_cw hold the CE gradient; the diversity rows of docids
+    # 1 and 2 come in three top-K lists and are added onto it one at a time
+    g_cw = np.array([[5.0, 5.0], [1e16, 1e16], [3.0, -0.0]])
+    topk = np.array([[1, 2], [2, 1], [1, 2]])
+    div_rows = np.array([[1.0, 1.0], [0.5, -0.0], [-0.0, -0.0], [-0.0, 1.0], [-1e16, -1e16], [0.25, -0.0]])
+    kernels.add_rows_at(g_cw, topk.ravel(), div_rows)
+    # (1e16 + 1) - 1e16 is 0 in sequence, though the exact sum is 1; in column 1
+    # summing the diversity rows first would give 1e16 + (1 + 1 - 1e16) = 2
+    assert g_cw.tolist() == [[5.0, 5.0], [0.0, 0.0], [3.75, 0.0]]
+    assert np.signbit(g_cw[2, 1]) and not np.signbit(g_cw[1, 0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_encode_unpadded_batch_equals_padded_bytes(seed):
+    # the same queries, once as they are and once with a padded column
+    params = init_model(15, 6, 4, seed)
+    rng = np.random.default_rng(seed)
+    tok = rng.integers(0, 15, size=(5, 7))
+    lengths = np.full(5, 7)
+    padded = np.concatenate([tok, np.full((5, 1), -1)], axis=1)
+    for got, want in zip(kernels.encode(params.embed, params.hidden_w, params.hidden_b, tok, lengths),
+                         kernels.encode(params.embed, params.hidden_w, params.hidden_b, padded, lengths)):
+        assert got.tobytes() == want.tobytes()
