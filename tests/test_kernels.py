@@ -1,5 +1,4 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -189,6 +188,13 @@ def test_top_k_sorts_only_the_candidates_of_rows_without_a_tie_at_k(monkeypatch)
     monkeypatch.undo()
     assert got.tolist() == _lexsort_top_k(z, k) == [[1, 3, 5], [1, 2, 3], [1, 0, 2], [0, 1, 2]]
     assert sorted(sorted_shapes) == [(2, 3), (2, 6)]
+    # past half a row, every row is argsorted whole in one call
+    sorted_shapes.clear()
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_shapes.append(np.shape(a)) or argsort(a, *args, **kw))
+    got = kernels.top_k(z, k + 1)
+    monkeypatch.undo()
+    assert got.tolist() == _lexsort_top_k(z, k + 1)
+    assert sorted_shapes == [(4, 6)]
 
 
 def test_pair_cosines_batch_matches_each_stack():
@@ -289,12 +295,11 @@ _OUT_VALUES = st.one_of(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=3),
     st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=12), min_size=1, max_size=6),
-    st.sampled_from([1, 2, kernels.ADD_LAYER_CAP]),
     st.data(),
 )
-def test_add_rows_at_onto_any_rows_equals_add_at_bit_for_bit(num_rows, d, queries, cap, data):
+def test_add_rows_at_onto_any_rows_equals_add_at_bit_for_bit(num_rows, d, queries, data):
     # train_pass's call form: one row per query, gathered for each of its tokens;
-    # an id repeats within and across queries, and may pass the layer cap
+    # an id repeats within and across queries, up to 72 times in one call
     tok, lengths = kernels.pack_token_matrix([[t % num_rows for t in q] for q in queries])
     mask = np.arange(tok.shape[1])[None, :] < lengths[:, None]
     ids, src = tok[mask], np.nonzero(mask)[0]
@@ -306,15 +311,13 @@ def test_add_rows_at_onto_any_rows_equals_add_at_bit_for_bit(num_rows, d, querie
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(want, ids, rows[src])
         got = start.copy()
-        with mock.patch.object(kernels, "ADD_LAYER_CAP", cap):
-            kernels.add_rows_at(got, ids, rows, src)
+        kernels.add_rows_at(got, ids, rows, src)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("cap", [kernels.ADD_LAYER_CAP, 2048])
-def test_add_rows_at_one_id_throughout_a_batch(cap):
-    # every token of a 32 x 32 batch is id 0, as for queries of unknown words;
-    # past the cap it goes through np.add.at, under it through 1,024 layers
+def test_add_rows_at_one_id_throughout_a_batch():
+    # every token of a 32 x 32 batch is id 0, as for queries of unknown words:
+    # 1,024 layers of one row each
     rng = np.random.default_rng(6)
     start = rng.normal(size=(5, 8))
     rows = rng.normal(size=(32, 8))
@@ -322,8 +325,7 @@ def test_add_rows_at_one_id_throughout_a_batch(cap):
     want = start.copy()
     np.add.at(want, np.zeros(1024, np.int64), rows[src])
     got = start.copy()
-    with mock.patch.object(kernels, "ADD_LAYER_CAP", cap):
-        kernels.add_rows_at(got, np.zeros(1024, np.int64), rows, src)
+    kernels.add_rows_at(got, np.zeros(1024, np.int64), rows, src)
     assert got.tobytes() == want.tobytes()
     kernels.add_rows_at(got, np.zeros(0, np.int64), rows)
     assert got.tobytes() == want.tobytes()
