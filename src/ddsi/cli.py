@@ -112,6 +112,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    dataset = args.dataset if args.dataset else Path(args.corpus).stem
+    if any(c in dataset for c in "\t\n\r"):
+        raise InvalidConfig(f"dataset label {dataset!r} holds a tab or line break, which report.tsv cannot hold")
     corpus = load_corpus(args.corpus)
     # the report's Hits@5, Hits@10 and MRR@10 need a run at least that deep
     if args.cutoff < min(10, corpus.num_docs):
@@ -122,7 +125,6 @@ def cmd_eval(args) -> int:
     params = _load_params(args.checkpoint, corpus)
     run = metrics.run_queries(params, queries, args.cutoff)
     report = metrics.report_from_run(run, corpus)
-    dataset = args.dataset if args.dataset else Path(args.corpus).stem
     out = _out_dir(args.out)
     report_path, table_path, run_path = out / "report.tsv", out / "report.txt", out / "run.tsv"
     metrics.write_report_tsv(report, report_path, dataset=dataset, alpha=args.alpha)

@@ -59,10 +59,6 @@ class TokenOutOfRange(DdsiError):
     pass
 
 
-class ZeroVector(DdsiError):
-    """A vector with zero norm reached a cosine computation."""
-
-
 class CheckpointVersionMismatch(DdsiError):
     pass
 

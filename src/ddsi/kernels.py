@@ -1,7 +1,8 @@
 """Hot numeric kernels, in vectorized numpy.
 
 The query encoder and the top-K row cosine have one implementation
-each here, shared by training, scoring and the diversity term. Two
+each here, shared by training, scoring and the diversity term, and the
+one zero-norm similarity rule of training and MMR lives here too. Two
 inner loops dominate runtime: the fused per-batch forward/backward pass
 of training, and the bit-parallel LCS behind the pairwise ROUGE-L
 homogenization metric.
@@ -133,8 +134,21 @@ def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Shared building blocks: query encoder, top-K and top-K row cosines
+# Shared building blocks: query encoder, top-K and cosines
 # ---------------------------------------------------------------------------
+#
+# One similarity rule holds for training, MMR and model.cosine: a vector of
+# zero norm has cosine 0 with every vector, itself included. Two
+# normalizations implement it, and both stay:
+#   - pair_cosines (training) multiplies by the inverse norm. The exact
+#     power-of-two prescale of unit_rows would keep its bits, but costs
+#     40-70 us per (32, 10, 64) stack, 3-6 % of a train pass at alpha < 1.
+#   - unit_rows (MMR, cosine) prescales, then divides by the norm.
+#     Multiplying by the inverse instead moves one unit entry in five by an
+#     ulp, and with it the bytes of rerank scores.
+# They part in one case only: a row whose squared norm underflows to 0
+# (every |entry| below about 1.5e-162) is zero to pair_cosines, and is
+# rescaled to unit length by unit_rows.
 
 
 def encode(embed, hidden_w, hidden_b, tok, lengths) -> tuple[np.ndarray, np.ndarray]:
@@ -231,6 +245,16 @@ def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kk = rows.shape[-2]
     cosines[..., np.arange(kk), np.arange(kk)] = 0.0
     return unit, inv, cosines
+
+
+def unit_rows(x) -> np.ndarray:
+    """x scaled to unit length along its last axis; zero rows stay zero. Rows are
+    first scaled exactly, by the power of two that brings the largest |entry| into
+    [0.5, 1), so squared norms of tiny vectors do not underflow to subnormals."""
+    x = np.asarray(x, dtype=np.float64)
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
 
 
 # ---------------------------------------------------------------------------

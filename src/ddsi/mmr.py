@@ -6,9 +6,10 @@ candidate maximizing
     lambda * cos(candidate, query) - (1 - lambda) * max cos(candidate, selected)
 
 with the max-over-selected term taken as 0 while nothing is selected
-yet. Both similarities are cosine. Output order is the contract; the
-recorded scores are the MMR scores at selection time and need not be
-monotone.
+yet. Both similarities are cosine, under the rule training uses (see
+kernels): a zero-norm query or candidate has cosine 0 with every vector.
+Output order is the contract; the recorded scores are the MMR scores at
+selection time and need not be monotone.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EmptyRun, InvalidConfig, ZeroVector
+from .errors import EmptyRun, InvalidConfig
 # encode_query, forward and top_k stay importable only because perfbench/layers.py wraps them by name
-from .model import ModelParams, RankedList, encode_query, forward, pack_queries, ranked_lists, score_blocks, top_k, unit_rows  # noqa: F401
+from .model import ModelParams, RankedList, encode_query, forward, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
 
 
 @dataclass
@@ -39,12 +40,10 @@ class MmrConfig:
 
 
 def _greedy(query_unit, docids, cand_unit, cfg: MmrConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy MMR stepping a stack of queries together: (B, d) unit query
-    vectors, (B, P) candidate docids in any order and their (B, P, d) unit
-    vectors give the (B, m) picked docids and their MMR scores at selection
-    time. Ties go to the smaller docid."""
-    if not (query_unit.any(axis=-1).all() and cand_unit.any(axis=-1).all()):
-        raise ZeroVector("MMR requires nonzero query and candidate vectors")
+    """Greedy MMR stepping a stack of queries together: (B, d) query vectors,
+    (B, P) candidate docids in any order and their (B, P, d) vectors, all of
+    unit or zero length, give the (B, m) picked docids and their MMR scores
+    at selection time. Ties go to the smaller docid."""
     rows = np.arange(docids.shape[0])
     rel = np.matmul(cand_unit, query_unit[:, :, None])[..., 0]
     lam = cfg.lambda_
@@ -73,8 +72,8 @@ def mmr_rerank(query_vec, candidates: list[tuple[int, np.ndarray]], cfg: MmrConf
     docids = np.array([d for d, _ in candidates], dtype=np.int64)
     if len(set(docids.tolist())) != len(docids):
         raise InvalidConfig("candidate docids must be distinct")
-    vecs = unit_rows(np.array([v for _, v in candidates], dtype=np.float64))
-    return ranked_lists([qid], *_greedy(unit_rows(query_vec)[None], docids[None], vecs[None], cfg))[0]
+    vecs = kernels.unit_rows(np.array([v for _, v in candidates], dtype=np.float64))
+    return ranked_lists([qid], *_greedy(kernels.unit_rows(query_vec)[None], docids[None], vecs[None], cfg))[0]
 
 
 def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[RankedList]:
@@ -84,9 +83,9 @@ def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[Ranked
     if not queries:
         raise EmptyRun("no queries")
     tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
-    doc_units = unit_rows(p.cls_w)
+    doc_units = kernels.unit_rows(p.cls_w)
     rankings = []
     for block, act, logits in score_blocks(p, tok, lengths):
         pool = kernels.top_k(logits, cfg.pool)
-        rankings += ranked_lists([q.qid for q in queries[block]], *_greedy(unit_rows(act), pool, doc_units[pool], cfg))
+        rankings += ranked_lists([q.qid for q in queries[block]], *_greedy(kernels.unit_rows(act), pool, doc_units[pool], cfg))
     return rankings

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import (
-    CheckpointVersionMismatch,
-    EmptyQuery,
-    InvalidDims,
-    TokenOutOfRange,
-    ZeroVector,
-)
+from .errors import CheckpointVersionMismatch, EmptyQuery, InvalidDims, TokenOutOfRange
 from .fileio import atomic_open
 from .rng import Xoshiro256StarStar
 
@@ -177,21 +171,9 @@ def top_k(logits, k: int, qid: int = -1) -> RankedList:
     return RankedList(qid=qid, entries=[(int(i), float(z[i])) for i in kernels.top_k(z, k)])
 
 
-def unit_rows(x) -> np.ndarray:
-    """x scaled to unit length along its last axis; zero rows stay zero. Rows are
-    first scaled exactly, by the power of two that brings the largest |entry| into
-    [0.5, 1), so squared norms of tiny vectors do not underflow to subnormals."""
-    x = np.asarray(x, dtype=np.float64)
-    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=-1, keepdims=True, initial=0.0))[1])
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.divide(x, norms, out=np.zeros_like(x), where=norms > 0.0)
-
-
 def cosine(u, v) -> float:
-    u, v = unit_rows(u), unit_rows(v)
-    if not (u.any() and v.any()):
-        raise ZeroVector("cosine undefined for zero-norm vector")
-    return float(u @ v)
+    """Cosine of two vectors; 0 when either has zero norm (see kernels)."""
+    return float(kernels.unit_rows(u) @ kernels.unit_rows(v))
 
 
 def save_checkpoint(p: ModelParams, path) -> None:

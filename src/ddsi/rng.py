@@ -86,21 +86,6 @@ def _jump_rows(steps: int) -> np.ndarray:
     return rows
 
 
-def _jump_table(rows: np.ndarray) -> np.ndarray:
-    """(64, 16, 4) uint64: entry [i, v] is the XOR of the jump rows of the
-    set bits of v as nibble i (low nibble first) of a state's little-endian
-    bytes, so a state's image is the XOR of one entry per nibble."""
-    rows = rows.reshape(64, 4, 4)
-    table = np.zeros((64, 16, 4), dtype=np.uint64)
-    for k in range(4):  # entries [2^k, 2^(k+1)) are entries [0, 2^k) with bit k set
-        np.bitwise_xor(table[:, : 1 << k], rows[:, k, None, :], out=table[:, 1 << k : 2 << k])
-    return table
-
-
-_NIBBLE_INDEX = np.arange(64)
-_NIBBLES = np.array([(b & 15, b >> 4) for b in range(256)])  # byte -> (low, high)
-
-
 def lane_shape(n: int) -> tuple[int, int]:
     """(lanes, draws per lane) with which a block of n >= 1 draws is made: a
     lane length near sqrt(2n), so that stepping the 256 unit states to
@@ -149,10 +134,10 @@ class Xoshiro256StarStar:
         starts = np.empty((lanes, 4), dtype=np.uint64)
         starts[0] = self._s
         if lanes > 1:
-            jump = _jump_table(_jump_rows(length))
+            rows = _jump_rows(length)
             for j in range(1, lanes):
-                nibbles = _NIBBLES[starts[j - 1].astype("<u8", copy=False).view(np.uint8)].reshape(64)
-                np.bitwise_xor.reduce(jump[_NIBBLE_INDEX, nibbles], axis=0, out=starts[j])
+                bits = np.unpackbits(starts[j - 1].astype("<u8", copy=False).view(np.uint8), bitorder="little")
+                np.bitwise_xor.reduce(rows.compress(bits, axis=0), axis=0, out=starts[j])
         state = starts.T.copy()
         s1_seen = np.empty((length, lanes), dtype=np.uint64)
         s1 = state[1]
@@ -232,9 +217,6 @@ class Xoshiro256StarStar:
         if n <= 0:
             raise ValueError("randbelow requires n >= 1")
         return self._below((n,))[0]
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates, high index down."""

@@ -74,8 +74,8 @@ class TrainConfig:
             raise InvalidConfig(f"alpha must be in [0, 1], got {self.alpha}")
         if self.k < 2:
             raise InvalidConfig(f"K must be >= 2, got {self.k}")
-        if self.lr <= 0.0:
-            raise InvalidConfig(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise InvalidConfig(f"lr must be finite and > 0, got {self.lr}")
         if self.epochs < 1:
             raise InvalidConfig(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:

@@ -141,8 +141,11 @@ def oracle_mmr(query_vec, candidates, lam, m) -> list[int]:
     """Brute-force greedy MMR: rescan every unselected candidate each step."""
 
     def cos(u, v):
+        # a zero-norm vector has similarity 0 with every vector, as in training
         nu = math.sqrt(sum(x * x for x in u))
         nv = math.sqrt(sum(x * x for x in v))
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
         return sum(a * b for a, b in zip(u, v)) / (nu * nv)
 
     selected: list[int] = []

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from ddsi.cli import main
+from ddsi.corpus import load_corpus, load_queries
 from ddsi.metrics import read_report_tsv, read_run
-from ddsi.model import init_model, load_checkpoint, save_checkpoint
+from ddsi.mmr import MmrConfig, mmr_rerank
+from ddsi.model import encode_query, init_model, load_checkpoint, save_checkpoint
+
+from oracles import oracle_mmr
 
 
 def sha(path):
@@ -160,6 +164,17 @@ def test_train_rejects_dim_zero(workspace, tmp_path):
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_rejects_non_finite_lr(workspace, tmp_path, lr):
+    _, data, _ = workspace
+    code = main([
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+        "--lr", lr, "--out", str(tmp_path / "m"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_missing_corpus(tmp_path):
     code = main([
         "train", "--corpus", str(tmp_path / "none.jsonl"), "--queries", str(tmp_path / "q.tsv"),
@@ -190,6 +205,21 @@ def test_eval_outputs(workspace, tmp_path):
     assert table.splitlines()[0].split()[0] == "Dataset"
     run_rows = read_run(out / "run.tsv")
     assert run_rows and all(len(r.entries) == 10 for r in run_rows)
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_eval_rejects_dataset_label_with_tab_or_line_break(workspace, tmp_path, char):
+    # report.tsv could not hold such a label: its own reader would reject the file
+    _, data, run = workspace
+    out = tmp_path / "e"
+    base = ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--queries", str(data / "test.tsv"), "--out", str(out)]
+    assert main([*base, "--corpus", str(data / "corpus.jsonl"), "--dataset", f"syn{char}th"]) == 2
+    assert not out.exists()
+    # the default label, the corpus stem, is checked too
+    corpus = tmp_path / f"syn{char}th.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    assert main([*base, "--corpus", str(corpus)]) == 2
+    assert not out.exists()
 
 
 def test_eval_corrupt_checkpoint(workspace, tmp_path):
@@ -322,6 +352,29 @@ def test_rerank_pool_above_n_names_the_flag(workspace, tmp_path, capsys):
     assert code == 2
     assert "--pool 13 exceeds N=12" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rerank_scores_a_zeroed_classifier_row_as_similarity_zero(workspace, tmp_path):
+    _, data, run = workspace
+    params = load_checkpoint(run / "checkpoint.bin")
+    params.cls_w[5] = 0.0
+    ckpt = tmp_path / "zero_row.bin"
+    save_checkpoint(params, ckpt)
+    n = params.num_docs
+    out = tmp_path / "r"
+    assert main([
+        "rerank", "--checkpoint", str(ckpt), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), "--lambda", "0.5", "--m", str(n), "--pool", str(n), "--out", str(out),
+    ]) == 0
+    corpus = load_corpus(data / "corpus.jsonl")
+    queries = load_queries(data / "test.tsv", corpus)
+    got = read_run(out / "run.tsv")
+    assert [r.qid for r in got] == [q.qid for q in queries]
+    candidates = [(d, params.cls_w[d]) for d in range(n)]
+    for r, q in zip(got, queries):
+        query = encode_query(params, q.tokens)
+        assert r.docids() == mmr_rerank(query, candidates, MmrConfig(lambda_=0.5, m=n, pool=n)).docids()
+        assert r.docids() == oracle_mmr(query.tolist(), [(d, v.tolist()) for d, v in candidates], 0.5, n)
 
 
 def test_rerank_deterministic(workspace, tmp_path):

@@ -266,10 +266,10 @@ def test_add_rows_at_equals_add_at_bit_for_bit(num_rows, d, queries, data):
     rows = np.array(data.draw(st.lists(st.lists(_SCATTER_VALUES, min_size=d, max_size=d),
                                        min_size=ids.size, max_size=ids.size)), dtype=np.float64)
     want = np.zeros((num_rows, d))
+    got = np.zeros((num_rows, d))
     with np.errstate(over="ignore", invalid="ignore"):
         np.add.at(want, ids, rows)
-    got = np.zeros((num_rows, d))
-    kernels.add_rows_at(got, ids, rows)
+        kernels.add_rows_at(got, ids, rows)
     assert got.tobytes() == want.tobytes()
 
 

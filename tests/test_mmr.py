@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddsi.corpus import QueryExample
-from ddsi.errors import InvalidConfig, ZeroVector
+from ddsi.errors import InvalidConfig
 from ddsi.mmr import MmrConfig, mmr_rerank, retrieve_then_rerank
 from ddsi.model import QUERY_BLOCK, cosine, encode_query, forward, init_model, top_k
 from ddsi.rng import Xoshiro256StarStar
@@ -92,13 +92,16 @@ def test_invalid_configs_rejected():
         mmr_rerank(q, pool + [(0, q)], MmrConfig(lambda_=0.5, m=2, pool=5))
 
 
-def test_zero_vectors_rejected():
-    pool = random_pool(12, 4)
+def test_zero_vectors_score_zero():
+    # a zero query or candidate has cosine 0 with every vector, as in training
+    pool = random_pool(12, 5)
     pool[2] = (2, np.zeros(4))
-    with pytest.raises(ZeroVector):
-        mmr_rerank(random_query(12), pool, MmrConfig(lambda_=0.5, m=2, pool=4))
-    with pytest.raises(ZeroVector):
-        mmr_rerank(np.zeros(4), random_pool(13, 4), MmrConfig(lambda_=0.5, m=2, pool=4))
+    zeros = [(d, np.zeros(4)) for d in range(4)]
+    cases = [(random_query(12), pool), (np.zeros(4), random_pool(13, 5)), (np.zeros(4), pool), (random_query(13), zeros)]
+    for q, cands in cases:
+        for lam in (0.0, 0.25, 0.5, 1.0):
+            got = mmr_rerank(q, cands, MmrConfig(lambda_=lam, m=len(cands), pool=len(cands))).docids()
+            assert got == oracle_mmr(q.tolist(), [(d, v.tolist()) for d, v in cands], lam, len(cands)), lam
 
 
 def test_tiny_candidate_relevance_stays_at_most_one():

@@ -11,7 +11,6 @@ from ddsi.errors import (
     InvalidDims,
     KOutOfRange,
     TokenOutOfRange,
-    ZeroVector,
 )
 from ddsi.model import (
     ModelParams,
@@ -203,8 +202,10 @@ def test_cosine_tiny_and_huge_vectors_stay_in_range():
 
 
 def test_cosine_zero_vector():
-    with pytest.raises(ZeroVector):
-        cosine([0.0, 0.0], [1.0, 0.0])
+    # a zero-norm vector has cosine 0 with every vector, itself included
+    assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert cosine([1.0, 0.0], [0.0, 0.0]) == 0.0
+    assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
 
 
 @given(
@@ -216,8 +217,6 @@ def test_cosine_zero_vector():
 @example([1.0, 0.0], [1.0582240700692009e-158, 0.0])
 def test_cosine_symmetric(u, v):
     v = v[: len(u)]
-    if not any(u) or not any(v):
-        return
     assert cosine(u, v) == cosine(v, u)
     assert -1.0 - 1e-12 <= cosine(u, v) <= 1.0 + 1e-12
 

@@ -463,12 +463,15 @@ def test_train_rejects_bad_configs(small_world):
         train(corpus, train_q, TrainConfig(k=corpus.num_docs + 1))
     with pytest.raises(InvalidConfig):
         train(corpus, [], TrainConfig())
+    for lr in (math.nan, math.inf):
+        with pytest.raises(InvalidConfig):
+            train(corpus, train_q, TrainConfig(lr=lr))
 
 
 def test_train_nonfinite_diagnostic_names_epoch(small_world):
     _, corpus, train_q, _ = small_world
     cfg = TrainConfig(alpha=1.0, k=5, epochs=2, batch_size=16, seed=3, optimizer="sgd", lr=1e300)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradient, match=r"epoch \d+ batch \d+"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteGradient, match=r"epoch \d+ batch \d+"):
         train(corpus, train_q, cfg)
 
 
