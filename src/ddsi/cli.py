@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__, metrics
@@ -62,19 +63,15 @@ def _load_params(path: str, corpus):
     return params
 
 
-def cmd_generate(args) -> int:
-    cfg = SyntheticConfig(
-        num_topics=args.topics,
-        docs_per_topic=args.docs_per_topic,
-        vocab_per_topic=args.vocab_per_topic,
-        shared_vocab=args.shared_vocab,
-        doc_len=args.doc_len,
-        queries_per_doc=args.queries_per_doc,
-        query_len=args.query_len,
-        near_duplicate_fraction=args.near_dup,
-        seed=args.seed,
-    )
+def _config(cls, args):
+    """The validated config dataclass cls, each field read from the flag whose dest is its name."""
+    cfg = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
     cfg.validate()
+    return cfg
+
+
+def cmd_generate(args) -> int:
+    cfg = _config(SyntheticConfig, args)
     corpus, train_q, test_q = generate_synthetic(cfg)
     out = _out_dir(args.out)
     corpus_path, train_path, test_path = out / "corpus.jsonl", out / "train.tsv", out / "test.tsv"
@@ -87,17 +84,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = TrainConfig(
-        alpha=args.alpha,
-        k=args.k,
-        lr=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        optimizer=args.optimizer,
-        dim=args.dim,
-    )
-    cfg.validate()
+    cfg = _config(TrainConfig, args)
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries, corpus)
     params, history = train(corpus, queries, cfg)
@@ -112,6 +99,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        raise InvalidConfig(f"--alpha {args.alpha} is not finite, which report.tsv cannot hold")
     dataset = args.dataset if args.dataset else Path(args.corpus).stem
     if any(c in dataset for c in "\t\n\r"):
         raise InvalidConfig(f"dataset label {dataset!r} holds a tab or line break, which report.tsv cannot hold")
@@ -138,8 +127,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    cfg = MmrConfig(lambda_=args.lambda_, m=args.m, pool=args.pool)
-    cfg.validate()
+    cfg = _config(MmrConfig, args)
     corpus = load_corpus(args.corpus)
     if cfg.pool > corpus.num_docs:
         raise InvalidConfig(f"--pool {cfg.pool} exceeds N={corpus.num_docs}")
@@ -172,34 +160,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ddsi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen_defaults = SyntheticConfig()
     p = sub.add_parser("generate", help="synthesize a clustered corpus with queries")
-    p.add_argument("--topics", type=int, default=gen_defaults.num_topics)
-    p.add_argument("--docs-per-topic", type=int, default=gen_defaults.docs_per_topic)
-    p.add_argument("--vocab-per-topic", type=int, default=gen_defaults.vocab_per_topic)
-    p.add_argument("--shared-vocab", type=int, default=gen_defaults.shared_vocab)
-    p.add_argument("--doc-len", type=int, default=gen_defaults.doc_len)
-    p.add_argument("--queries-per-doc", type=int, default=gen_defaults.queries_per_doc)
-    p.add_argument("--query-len", type=int, default=gen_defaults.query_len)
-    p.add_argument("--near-dup", type=float, default=gen_defaults.near_duplicate_fraction)
-    p.add_argument("--seed", type=int, default=gen_defaults.seed)
+    p.add_argument("--topics", dest="num_topics", metavar="TOPICS", type=int)
+    p.add_argument("--docs-per-topic", type=int)
+    p.add_argument("--vocab-per-topic", type=int)
+    p.add_argument("--shared-vocab", type=int)
+    p.add_argument("--doc-len", type=int)
+    p.add_argument("--queries-per-doc", type=int)
+    p.add_argument("--query-len", type=int)
+    p.add_argument("--near-dup", dest="near_duplicate_fraction", metavar="NEAR_DUP", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, **asdict(SyntheticConfig()))
 
-    train_defaults = TrainConfig()
     p = sub.add_parser("train", help="train a checkpoint")
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--alpha", type=float, default=train_defaults.alpha)
-    p.add_argument("--k", type=int, default=train_defaults.k)
-    p.add_argument("--lr", type=float, default=train_defaults.lr)
-    p.add_argument("--epochs", type=int, default=train_defaults.epochs)
-    p.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
-    p.add_argument("--seed", type=int, default=train_defaults.seed)
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default=train_defaults.optimizer)
-    p.add_argument("--dim", type=int, default=train_defaults.dim, help="embedding and hidden width")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--optimizer", choices=("sgd", "adam"))
+    p.add_argument("--dim", type=int, help="embedding and hidden width")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, **asdict(TrainConfig()))
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -211,16 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    mmr_defaults = MmrConfig()
     p = sub.add_parser("rerank", help="MMR-rerank model retrievals")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=mmr_defaults.lambda_)
-    p.add_argument("--m", type=int, default=mmr_defaults.m)
-    p.add_argument("--pool", type=int, default=mmr_defaults.pool)
+    p.add_argument("--lambda", dest="lambda_", type=float)
+    p.add_argument("--m", type=int)
+    p.add_argument("--pool", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_rerank)
+    p.set_defaults(func=cmd_rerank, **asdict(MmrConfig()))
 
     p = sub.add_parser("report", help="merge eval reports into one table")
     p.add_argument("reports", nargs="+")

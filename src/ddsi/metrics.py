@@ -11,8 +11,9 @@ redundant result set.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -49,32 +50,26 @@ class MetricsReport:
     num_queries: int
 
 
-def _gold_rank(ranking: RankedList, gold: int) -> int | None:
-    """1-based rank of the gold docid, or None when absent."""
-    for pos, (docid, _) in enumerate(ranking.entries, start=1):
-        if docid == gold:
-            return pos
-    return None
+def _gold_ranks(run: EvalRun) -> list[int]:
+    """1-based rank of each query's gold docid, 0 where its ranking lacks it."""
+    if not run.rankings:
+        raise EmptyRun("no queries in run")
+    ranks = []
+    for ranking, gold in zip(run.rankings, run.golds):
+        docids = ranking.docids()
+        ranks.append(docids.index(gold) + 1 if gold in docids else 0)
+    return ranks
 
 
 def hits_at_k(run: EvalRun, k: int) -> float:
-    if not run.rankings:
-        raise EmptyRun("no queries in run")
-    hits = 0
-    for ranking, gold in zip(run.rankings, run.golds):
-        rank = _gold_rank(ranking, gold)
-        if rank is not None and rank <= k:
-            hits += 1
-    return hits / len(run.rankings)
+    return sum(0 < rank <= k for rank in _gold_ranks(run)) / len(run.rankings)
 
 
 def mrr_at_k(run: EvalRun, k: int = 10) -> float:
-    if not run.rankings:
-        raise EmptyRun("no queries in run")
     total = 0.0
-    for ranking, gold in zip(run.rankings, run.golds):
-        rank = _gold_rank(ranking, gold)
-        if rank is not None and rank <= k:
+    # summed in query order, as np.sum's pairwise sum would move the last bits
+    for rank in _gold_ranks(run):
+        if 0 < rank <= k:
             total += 1.0 / rank
     return total / len(run.rankings)
 
@@ -209,15 +204,13 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
     if not run.rankings:
         raise EmptyRun("no queries in run")
     docs = corpus.documents
-    for ranking in run.rankings:
-        for docid, _ in ranking.entries:
-            if not 0 <= docid < len(docs):
-                raise EmptyInput(f"run references unknown docid {docid}")
-
-    docids = sorted({docid for ranking in run.rankings for docid, _ in ranking.entries})
-    row_of = {docid: row for row, docid in enumerate(docids)}
+    flat = np.array([docid for ranking in run.rankings for docid, _ in ranking.entries], dtype=np.int64)
+    unknown = (flat < 0) | (flat >= len(docs))
+    if unknown.any():
+        raise EmptyInput(f"run references unknown docid {flat[unknown.argmax()]}")
+    docids, rows = np.unique(flat, return_inverse=True)
     tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
-    sets = [np.array([row_of[docid] for docid, _ in ranking.entries], dtype=np.int64) for ranking in run.rankings]
+    sets = np.split(rows, np.cumsum([len(ranking.entries) for ranking in run.rankings])[:-1])
     hom_vals = _homogenization_sets(tok, lengths, sets)
     ngd_vals = _ngd_sets(tok, lengths, sets)
     cr_vals = [compression_ratio([docs[docid].body for docid, _ in ranking.entries]) for ranking in run.rankings]
@@ -242,7 +235,11 @@ def evaluate(p: ModelParams, queries: list[QueryExample], corpus: Corpus, cutoff
 # run / report files
 # ---------------------------------------------------------------------------
 
+# report.tsv's columns: after dataset and alpha come MetricsReport's fields, in order
 REPORT_COLUMNS = ["dataset", "alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr", "num_queries"]
+_FLOATS = REPORT_COLUMNS[1:-1]  # float or NA; dataset is text and num_queries an int
+# report.txt's headings, one per column but num_queries
+_HEADINGS = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE-L", "NGD", "CR"]
 
 
 def write_run(run: EvalRun, path) -> None:
@@ -280,8 +277,8 @@ def read_run(path) -> list[RankedList]:
     return list(by_qid.values())
 
 
-def _fmt(value: float | None) -> str:
-    return "NA" if value is None else f"{value:.17g}"
+def _fmt(value: float | None, spec: str) -> str:
+    return "NA" if value is None else format(value, spec)
 
 
 def sort_report_rows(rows: list[dict]) -> list[dict]:
@@ -293,29 +290,19 @@ def report_tsv(rows: list[dict]) -> str:
     """Header plus one line per report row, floats at full precision."""
     lines = ["\t".join(REPORT_COLUMNS)]
     for r in rows:
-        lines.append("\t".join(str(r[c]) if c in ("dataset", "num_queries") else _fmt(r[c]) for c in REPORT_COLUMNS))
+        lines.append("\t".join(_fmt(r[c], ".17g") if c in _FLOATS else str(r[c]) for c in REPORT_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float | None) -> None:
-    row = {
-        "dataset": dataset,
-        "alpha": alpha,
-        "hits1": report.hits1,
-        "hits5": report.hits5,
-        "hits10": report.hits10,
-        "mrr10": report.mrr10,
-        "rouge_l": report.rouge_l_hom,
-        "ngd": report.ngd,
-        "cr": report.cr,
-        "num_queries": report.num_queries,
-    }
+    row = dict(zip(REPORT_COLUMNS, (dataset, alpha, *astuple(report))))
     with atomic_open(path) as f:
         f.write(report_tsv([row]))
 
 
 def read_report_tsv(path) -> list[dict]:
-    """Rows of a report TSV as dicts; header must match REPORT_COLUMNS."""
+    """Rows of a report TSV as dicts; header must match REPORT_COLUMNS and
+    alpha, when given, must be finite."""
     lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(read_lines(path), start=1) if ln.strip()]
     if not lines or lines[0][1].split("\t") != REPORT_COLUMNS:
         raise ColumnMismatch(f"{path}: header must be {REPORT_COLUMNS}")
@@ -326,25 +313,23 @@ def read_report_tsv(path) -> list[dict]:
             raise ColumnMismatch(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
         row: dict = dict(zip(REPORT_COLUMNS, parts))
         try:
-            for key in ("alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr"):
+            for key in _FLOATS:
                 row[key] = None if row[key] == "NA" else float(row[key])
             row["num_queries"] = int(row["num_queries"])
         except ValueError as e:
             raise ColumnMismatch(f"{path}:{lineno}: {e}") from e
+        if row["alpha"] is not None and not math.isfinite(row["alpha"]):
+            raise ColumnMismatch(f"{path}:{lineno}: alpha {row['alpha']} is not finite")
         rows.append(row)
     return rows
 
 
 def format_report_table(rows: list[dict]) -> str:
     """Merged rows rendered Table-2 style, dataset then descending alpha."""
-    header = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE-L", "NGD", "CR"]
-    cells = [header]
+    cells = [_HEADINGS]
     for r in sort_report_rows(rows):
-        cells.append(
-            [r["dataset"]]
-            + ["NA" if r[k] is None else f"{r[k]:.4f}" for k in ("alpha", "hits1", "hits5", "hits10", "mrr10", "rouge_l", "ngd", "cr")]
-        )
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+        cells.append([r["dataset"]] + [_fmt(r[c], ".4f") for c in _FLOATS])
+    widths = [max(len(row[i]) for row in cells) for i in range(len(_HEADINGS))]
     lines = []
     for idx, row in enumerate(cells):
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -222,6 +222,20 @@ def test_eval_rejects_dataset_label_with_tab_or_line_break(workspace, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_eval_rejects_non_finite_alpha(workspace, tmp_path, capsys, alpha):
+    # report.tsv's alpha is a sort key, so it must be finite
+    _, data, run = workspace
+    out = tmp_path / "e"
+    code = main([
+        "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+        "--queries", str(data / "test.tsv"), f"--alpha={alpha}", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"--alpha {alpha} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_corrupt_checkpoint(workspace, tmp_path):
     _, data, run = workspace
     bad = tmp_path / "bad.bin"
@@ -454,6 +468,32 @@ def test_report_merges_and_sorts(workspace, tmp_path, capsys):
     assert alphas == [1.0, 0.75, 0.5, 0.25]
     rows = read_report_tsv(merged)
     assert [r["alpha"] for r in rows] == [1.0, 0.75, 0.5, 0.25]
+
+
+def test_report_order_does_not_depend_on_argument_order(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    paths = []
+    for alpha in (["--alpha", "1.0"], [], ["--alpha", "0.5"]):
+        out = tmp_path / f"eval{len(paths)}"
+        assert main([
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+            "--queries", str(data / "test.tsv"), *alpha, "--out", str(out),
+        ]) == 0
+        paths.append(str(out / "report.tsv"))
+    capsys.readouterr()  # drain the eval tables
+    printed, merged = [], []
+    for order in ([0, 1, 2], [1, 2, 0]):
+        out = tmp_path / f"merged{len(merged)}.tsv"
+        assert main(["report", *[paths[i] for i in order], "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+        merged.append(out.read_bytes())
+    assert printed[0] == printed[1]
+    assert merged[0] == merged[1]
+    # a hand-edited alpha of nan has no place in that order
+    text = (tmp_path / "eval0" / "report.tsv").read_text()
+    (tmp_path / "eval0" / "report.tsv").write_text(text.replace("\t1\t", "\tnan\t", 1))
+    assert main(["report", *paths]) == 1
+    assert "alpha nan is not finite" in capsys.readouterr().err
 
 
 def test_report_single_row(workspace, tmp_path, capsys):

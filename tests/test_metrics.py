@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -29,8 +31,10 @@ from ddsi.metrics import (
     read_report_tsv,
     read_run,
     report_from_run,
+    report_tsv,
     rouge_l,
     run_queries,
+    sort_report_rows,
     write_report_tsv,
     write_run,
 )
@@ -101,6 +105,18 @@ def test_mrr_beyond_cutoff_contributes_zero():
 def test_mrr_bounded_by_hits():
     run = run_with_gold_ranks([1, 3, 99, 8])
     assert mrr_at_k(run, 10) <= hits_at_k(run, 10)
+
+
+def test_mrr_sums_in_query_order():
+    # over more than 8 values np.sum adds pairwise and math.fsum exactly; on
+    # these ranks both differ from the query-order sum in the last bit
+    ranks = [1, 7, 7, 10, 1, 8, 5, 4, 10, 2, 6, 1]
+    total = 0.0
+    for rank in ranks:
+        total += 1.0 / rank
+    recips = [1.0 / rank for rank in ranks]
+    assert total != np.sum(recips) and total != math.fsum(recips)
+    assert mrr_at_k(run_with_gold_ranks(ranks), 10) == total / len(ranks)
 
 
 def test_empty_run_rejected():
@@ -411,7 +427,9 @@ def test_report_tsv_column_mismatch(tmp_path):
         read_report_tsv(path)
 
 
-@pytest.mark.parametrize("column, cell", [("hits5", "0.7x5"), ("num_queries", "8.0")])
+@pytest.mark.parametrize(
+    "column, cell", [("hits5", "0.7x5"), ("num_queries", "8.0"), ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-inf")]
+)
 def test_report_tsv_bad_number_is_a_column_mismatch(tmp_path, column, cell):
     report = MetricsReport(hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625, rouge_l_hom=0.1, ngd=3.25, cr=1.75, num_queries=8)
     path = tmp_path / "report.tsv"
@@ -447,11 +465,42 @@ def test_format_table_sorts_by_alpha_desc(tmp_path):
     assert alphas == [1.0, 0.75, 0.5, 0.25]
 
 
+def test_report_formats_are_pinned(tmp_path):
+    # hand-made reports: these bytes are the report.tsv and report.txt formats
+    path = tmp_path / "report.tsv"
+    report = MetricsReport(hits1=1 / 3, hits5=0.1 + 0.2, hits10=1.0, mrr10=2 / 7, rouge_l_hom=None, ngd=3.0000000000000004, cr=1e-20, num_queries=9)
+    write_report_tsv(report, path, dataset="synth", alpha=None)
+    assert path.read_bytes() == (
+        b"dataset\talpha\thits1\thits5\thits10\tmrr10\trouge_l\tngd\tcr\tnum_queries\n"
+        b"synth\tNA\t0.33333333333333331\t0.30000000000000004\t1\t0.2857142857142857\tNA\t3.0000000000000004\t9.9999999999999995e-21\t9\n"
+    )
+    rows = []
+    for dataset in ("b-synth", "a-long"):
+        for alpha in (None, 0.25, 1.0, 0.5, 0.75):
+            a = 0.6 if alpha is None else alpha
+            rows.append(dict(
+                dataset=dataset, alpha=alpha, hits1=a / 3, hits5=0.1 + a, hits10=1.0, mrr10=a / 7,
+                rouge_l=None if a == 0.5 else 0.123456789 * a, ngd=3.0, cr=12.5 / a, num_queries=int(40 * a),
+            ))
+    table, merged = format_report_table(rows), report_tsv(sort_report_rows(rows))
+    assert hashlib.sha256(table.encode()).hexdigest() == "480bec5cd469327a33be367615e8f2a23a1b5cb9d768992bb43e56d5e3e0a0ec"
+    assert hashlib.sha256(merged.encode()).hexdigest() == "8474b63abcd7376f7283e668b9b6d9af549a6e0e307b8adda1c38e83201a101f"
+
+
 def test_report_from_run_rejects_unknown_docid(small_world):
     _, corpus, _, _ = small_world
     run = EvalRun(rankings=[RankedList(qid=0, entries=[(corpus.num_docs + 5, 1.0)])], golds=[0])
     with pytest.raises(EmptyInput):
         report_from_run(run, corpus)
+    # the error names the first unknown docid in run order
+    n = corpus.num_docs
+    for entries, first in (
+        ([[(1, 0.9), (-2, 0.5)], [(n, 0.9), (-1, 0.1)]], -2),
+        ([[(0, 0.9)], [(n + 3, 0.8), (-4, 0.7)]], n + 3),
+    ):
+        run = EvalRun(rankings=[RankedList(qid=q, entries=e) for q, e in enumerate(entries)], golds=[0, 0])
+        with pytest.raises(EmptyInput, match=rf"unknown docid {first}$"):
+            report_from_run(run, corpus)
 
 
 @pytest.mark.parametrize(
