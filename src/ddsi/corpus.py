@@ -15,12 +15,13 @@ from itertools import repeat
 
 from .errors import (
     EmptyDocument,
+    EmptyInput,
     GoldOutOfRange,
     InvalidConfig,
     MalformedLine,
     NonDenseDocids,
 )
-from .fileio import atomic_open, read_lines
+from .fileio import atomic_open, plain_number, read_records
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -118,9 +119,7 @@ def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
 def load_corpus(path) -> Corpus:
     """Read UTF-8 JSONL with fields docid (int), title (str), text (str)."""
     rows = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for lineno, line in read_records(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
@@ -136,6 +135,8 @@ def load_corpus(path) -> Corpus:
         if not isinstance(title, str) or not isinstance(body, str):
             raise MalformedLine(path, lineno, "title/text must be strings")
         rows.append((docid, title, body))
+    if not rows:
+        raise EmptyInput(f"{path}: no documents")
     return _build_corpus(rows)
 
 
@@ -148,16 +149,13 @@ def save_corpus(corpus: Corpus, path) -> None:
 def load_queries(path, corpus: Corpus) -> list[QueryExample]:
     """Read TSV lines `query<TAB>gold_docid`; qids follow line order."""
     out = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
+    for lineno, line in read_records(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise MalformedLine(path, lineno, "expected query<TAB>docid")
         text, gold_str = parts
         try:
-            gold = int(gold_str)
+            gold = int(plain_number(gold_str))
         except ValueError as e:
             raise MalformedLine(path, lineno, "docid not an integer") from e
         if not 0 <= gold < corpus.num_docs:

@@ -1,6 +1,6 @@
 """Atomic file writes: a reader of the path sees the old file or the whole
-new one, never a part, and a failed write leaves nothing behind. Text
-reads that name the line of the first byte that is not UTF-8."""
+new one, never a part, and a failed write leaves nothing behind. The rules
+every input file is read by: its records, its numbers, its UTF-8."""
 
 from __future__ import annotations
 
@@ -44,3 +44,15 @@ def read_lines(path) -> list[str]:
         lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
         raise MalformedLine(path, lineno, f"not UTF-8 at byte {e.start}: {e.reason}") from e
     return io.StringIO(text, newline=None).readlines()
+
+
+def read_records(path) -> list[tuple[int, str]]:
+    """(1-based line number, line without its newline) of each line of read_lines(path) that is not all whitespace."""
+    return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
+
+
+def plain_number(cell: str) -> str:
+    """cell, if it is a number as the writers write one: ASCII, with no "_" and no surrounding whitespace."""
+    if not cell.isascii() or "_" in cell or cell != cell.strip():
+        raise ValueError(f"{cell!r} is not a plain ASCII number")
+    return cell

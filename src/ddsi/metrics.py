@@ -27,9 +27,9 @@ from .errors import (
     MalformedLine,
     TooFewDocs,
 )
-from .fileio import atomic_open, read_lines
+from .fileio import atomic_open, plain_number, read_records
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
-from .model import ModelParams, RankedList, batch_logits, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
+from .model import ModelParams, RankedList, batch_logits, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
 
 
 @dataclass
@@ -190,14 +190,12 @@ def compression_ratio(texts) -> float:
 
 def run_queries(p: ModelParams, queries: list[QueryExample], cutoff: int = 10) -> EvalRun:
     """Forward + top-cutoff for every query."""
-    if not queries:
-        raise EmptyRun("no queries")
-    tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
+    tok, lengths, golds = pack_query_set(p, queries)
     rankings = []
     for block, _, logits in score_blocks(p, tok, lengths):
         top = kernels.top_k(logits, cutoff)
         rankings += ranked_lists([q.qid for q in queries[block]], top, np.take_along_axis(logits, top, axis=1))
-    return EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries])
+    return EvalRun(rankings=rankings, golds=golds.tolist())
 
 
 def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
@@ -255,15 +253,13 @@ def read_run(path) -> list[RankedList]:
     order, with no docid twice."""
     by_qid: dict[int, RankedList] = {}
     seen: dict[int, set[int]] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
+    for lineno, line in read_records(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise MalformedLine(path, lineno, "expected qid<TAB>docid<TAB>rank<TAB>score")
         try:
-            qid, docid, rank, score = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
+            qid, docid, rank = map(int, map(plain_number, parts[:3]))
+            score = float(plain_number(parts[3]))
         except ValueError as e:
             raise MalformedLine(path, lineno, str(e)) from e
         entries = by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries
@@ -282,8 +278,12 @@ def _fmt(value: float | None, spec: str) -> str:
 
 
 def sort_report_rows(rows: list[dict]) -> list[dict]:
-    """Report rows by dataset, then descending alpha (rows without alpha last)."""
-    return sorted(rows, key=lambda r: (r["dataset"], -(r["alpha"] if r["alpha"] is not None else -np.inf)))
+    """Report rows by dataset, then descending alpha, then the other cells
+    ascending in column order; NA sorts last in every cell."""
+    def key(r):
+        cells = [None if r["alpha"] is None else -r["alpha"], *(r[c] for c in REPORT_COLUMNS[2:])]
+        return (r["dataset"], *((v is None, v or 0) for v in cells))
+    return sorted(rows, key=key)
 
 
 def report_tsv(rows: list[dict]) -> str:
@@ -302,8 +302,8 @@ def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float 
 
 def read_report_tsv(path) -> list[dict]:
     """Rows of a report TSV as dicts; header must match REPORT_COLUMNS and
-    alpha, when given, must be finite."""
-    lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(read_lines(path), start=1) if ln.strip()]
+    each float cell, when given, must be finite."""
+    lines = read_records(path)
     if not lines or lines[0][1].split("\t") != REPORT_COLUMNS:
         raise ColumnMismatch(f"{path}: header must be {REPORT_COLUMNS}")
     rows = []
@@ -314,12 +314,13 @@ def read_report_tsv(path) -> list[dict]:
         row: dict = dict(zip(REPORT_COLUMNS, parts))
         try:
             for key in _FLOATS:
-                row[key] = None if row[key] == "NA" else float(row[key])
-            row["num_queries"] = int(row["num_queries"])
+                row[key] = None if row[key] == "NA" else float(plain_number(row[key]))
+            row["num_queries"] = int(plain_number(row["num_queries"]))
         except ValueError as e:
             raise ColumnMismatch(f"{path}:{lineno}: {e}") from e
-        if row["alpha"] is not None and not math.isfinite(row["alpha"]):
-            raise ColumnMismatch(f"{path}:{lineno}: alpha {row['alpha']} is not finite")
+        for key in _FLOATS:
+            if row[key] is not None and not math.isfinite(row[key]):
+                raise ColumnMismatch(f"{path}:{lineno}: {key} {row[key]} is not finite")
         rows.append(row)
     return rows
 

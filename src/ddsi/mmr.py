@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import EmptyRun, InvalidConfig
+from .errors import InvalidConfig
 # encode_query, forward and top_k stay importable only because perfbench/layers.py wraps them by name
-from .model import ModelParams, RankedList, encode_query, forward, pack_queries, ranked_lists, score_blocks, top_k  # noqa: F401
+from .model import ModelParams, RankedList, encode_query, forward, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
 
 
 @dataclass
@@ -80,9 +80,7 @@ def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[Ranked
     """Top-pool retrieval by logits, as in eval, then MMR over classifier-row
     vectors, for every query; each block of queries is reranked together."""
     cfg.validate()
-    if not queries:
-        raise EmptyRun("no queries")
-    tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
+    tok, lengths, _ = pack_query_set(p, queries)
     doc_units = kernels.unit_rows(p.cls_w)
     rankings = []
     for block, act, logits in score_blocks(p, tok, lengths):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CheckpointVersionMismatch, EmptyQuery, InvalidDims, TokenOutOfRange
+from .errors import CheckpointVersionMismatch, EmptyQuery, EmptyRun, GoldOutOfRange, InvalidDims, TokenOutOfRange
 from .fileio import atomic_open
 from .rng import Xoshiro256StarStar
 
@@ -125,6 +125,17 @@ def pack_queries(token_lists, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     if valid.size and (valid.min() < 0 or valid.max() >= vocab_size):
         raise TokenOutOfRange(f"token index outside [0, {vocab_size})")
     return tok, lengths
+
+
+def pack_query_set(p: ModelParams, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pack_queries' (tok, lengths) and the golds of a query set, which must hold a query and golds in [0, N)."""
+    if not queries:
+        raise EmptyRun("no queries")
+    tok, lengths = pack_queries([q.tokens for q in queries], p.vocab_size)
+    golds = np.array([q.gold_docid for q in queries], dtype=np.int64)
+    if golds.min() < 0 or golds.max() >= p.num_docs:
+        raise GoldOutOfRange(f"gold docid outside [0, {p.num_docs})")
+    return tok, lengths, golds
 
 
 def encode_query(p: ModelParams, tokens) -> np.ndarray:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fileio import atomic_open
 # batch_logits stays importable only because perfbench/layers.py wraps it by name
-from .model import ModelParams, batch_logits, init_model, pack_queries, score_blocks  # noqa: F401
+from .model import ModelParams, batch_logits, init_model, pack_query_set, score_blocks  # noqa: F401
 from .rng import Xoshiro256StarStar, mix_seed
 
 ADAM_BETA1 = 0.9
@@ -149,16 +149,9 @@ def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.nd
 
 def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfig):
     """Checked (tok, lengths, golds) of the examples, as train_pass takes them."""
-    if not examples:
-        raise InvalidConfig("batch must be non-empty")
-    tok, lengths = pack_queries([q.tokens for q in examples], p.vocab_size)
-    golds = np.array([q.gold_docid for q in examples], dtype=np.int64)
-    n = p.num_docs
-    if golds.min() < 0 or golds.max() >= n:
-        raise GoldOutOfRange(f"gold docid outside [0, {n})")
-    if cfg.k > n:
-        raise InvalidConfig(f"K={cfg.k} exceeds corpus size {n}")
-    return tok, lengths, golds
+    if cfg.k > p.num_docs:
+        raise InvalidConfig(f"K={cfg.k} exceeds corpus size {p.num_docs}")
+    return pack_query_set(p, examples)
 
 
 def _check_finite(breakdown: LossBreakdown, grads: ModelParams) -> None:
@@ -247,11 +240,6 @@ def _train_hits1(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np
 def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tuple[ModelParams, list[EpochStats]]:
     """Run the full optimization; deterministic in (corpus, queries, cfg)."""
     cfg.validate()
-    if corpus.num_docs == 0 or not queries:
-        raise InvalidConfig("corpus and query set must be non-empty")
-    if cfg.k > corpus.num_docs:
-        raise InvalidConfig(f"K={cfg.k} exceeds corpus size {corpus.num_docs}")
-
     params = init_model(corpus.vocab.size, cfg.dim, corpus.num_docs, cfg.seed)
     state = init_optimizer_state(params, cfg)
     tok_all, lengths_all, golds_all = _pack_examples(params, queries, cfg)

@@ -509,6 +509,31 @@ def test_report_single_row(workspace, tmp_path, capsys):
     assert len(lines) == 3  # header, rule, one row
 
 
+def test_report_order_breaks_ties_on_the_remaining_cells(workspace, tmp_path, capsys):
+    # evals of the train and the test queries: the same dataset and alpha, other metrics
+    _, data, run = workspace
+    paths = []
+    for queries in ("train.tsv", "test.tsv"):
+        out = tmp_path / f"eval-{queries}"
+        assert main([
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+            "--queries", str(data / queries), "--alpha", "1", "--out", str(out),
+        ]) == 0
+        paths.append(str(out / "report.tsv"))
+    capsys.readouterr()  # drain the eval tables
+    printed, merged = [], []
+    for order in (paths, paths[::-1]):
+        out = tmp_path / f"merged{len(merged)}.tsv"
+        assert main(["report", *order, "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out)
+        merged.append(out.read_bytes())
+    assert printed[0] == printed[1]
+    assert merged[0] == merged[1]
+    rows = read_report_tsv(tmp_path / "merged0.tsv")
+    assert [r["dataset"] for r in rows] == ["corpus", "corpus"]
+    assert rows[0]["hits1"] <= rows[1]["hits1"] and rows[0] != rows[1]
+
+
 def test_report_column_mismatch(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("dataset\talpha\thits1\thits5\thits10\tmrr10\trouge_l\tcr\tnum_queries\n")
@@ -517,3 +542,40 @@ def test_report_column_mismatch(tmp_path):
 
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# input files shared by train, eval and rerank
+# ---------------------------------------------------------------------------
+
+
+def command_argv(command, run, corpus, queries, out):
+    if command == "train":
+        return ["train", "--corpus", str(corpus), "--queries", str(queries), "--k", "4", "--epochs", "1", "--out", str(out)]
+    extra = ["--m", "4", "--pool", "6"] if command == "rerank" else []
+    return [command, "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(corpus), "--queries", str(queries), *extra, "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "rerank"])
+@pytest.mark.parametrize("text", ["", " \n\t\n\n"])
+def test_corpus_without_documents_exits_1_naming_the_file(workspace, tmp_path, capsys, command, text):
+    _, data, run = workspace
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text(text)
+    out = tmp_path / "out"
+    assert main(command_argv(command, run, corpus, data / "test.tsv", out)) == 1
+    assert f"ddsi {command}: {corpus}: no documents" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_query_file_without_queries_exits_1_alike_in_every_command(workspace, tmp_path, capsys):
+    _, data, run = workspace
+    queries = tmp_path / "empty.tsv"
+    queries.write_text("\n \t\n")
+    errors = []
+    for command in ("train", "eval", "rerank"):
+        out = tmp_path / command
+        assert main(command_argv(command, run, data / "corpus.jsonl", queries, out)) == 1
+        assert not out.exists()
+        errors.append(capsys.readouterr().err.removeprefix(f"ddsi {command}: "))
+    assert errors == ["no queries\n"] * 3

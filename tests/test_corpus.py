@@ -18,6 +18,7 @@ from ddsi.corpus import (
 )
 from ddsi.errors import (
     EmptyDocument,
+    EmptyInput,
     GoldOutOfRange,
     InvalidConfig,
     MalformedLine,
@@ -127,6 +128,24 @@ def test_load_corpus_missing_field(tmp_path):
         load_corpus(path)
 
 
+def test_load_corpus_skips_whitespace_lines_but_counts_them(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"docid": 0, "title": "t", "text": "x"}\n \t\n\n{"docid": 1, "title": "t", "text": "y"}\n  \nnot json\n')
+    with pytest.raises(MalformedLine) as exc:
+        load_corpus(path)
+    assert exc.value.lineno == 6
+    path.write_text('\n{"docid": 0, "title": "t", "text": "x"}\n \t\n')
+    assert load_corpus(path).num_docs == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n", " \t\n\r\n  "])
+def test_load_corpus_without_documents_names_the_file(tmp_path, text):
+    path = tmp_path / "c.jsonl"
+    path.write_text(text)
+    with pytest.raises(EmptyInput, match="c.jsonl: no documents"):
+        load_corpus(path)
+
+
 def test_corpus_roundtrip(tmp_path, small_world):
     _, corpus, _, _ = small_world
     path = tmp_path / "c.jsonl"
@@ -185,6 +204,25 @@ def test_load_queries_malformed(tmp_path, tiny_corpus):
     path.write_text("no tab here\n")
     with pytest.raises(MalformedLine):
         load_queries(path, tiny_corpus)
+
+
+def test_load_queries_skips_whitespace_lines_but_counts_them(tmp_path, tiny_corpus):
+    path = tmp_path / "q.tsv"
+    path.write_text("alpha\t1\n \t \n\n   \ngamma\t2\nbeta\t99\n")
+    with pytest.raises(GoldOutOfRange, match=":6:"):
+        load_queries(path, tiny_corpus)
+    path.write_text("alpha\t1\n \t \n\ngamma\t2\n\t\n")
+    queries = load_queries(path, tiny_corpus)
+    assert [(q.qid, q.gold_docid) for q in queries] == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("gold", ["\u0663", "\uff13", "1_0", " 3", "3 ", "3\x0b", "three", ""])
+def test_load_queries_gold_must_be_a_plain_ascii_integer(tmp_path, tiny_corpus, gold):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"alpha\t1\n\nt0w1 t0w2\t{gold}\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_queries(path, tiny_corpus)
+    assert exc.value.lineno == 3
 
 
 def test_queries_roundtrip(tmp_path, small_world):

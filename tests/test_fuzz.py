@@ -1,8 +1,10 @@
-"""Byte-mutation fuzzing of the files `ddsi eval` and `ddsi report` read.
+"""Byte-mutation fuzzing of the files `ddsi eval` and `ddsi report` read,
+and of run files.
 
 Whatever a mutation does to a corpus, a query file, a checkpoint or a
 report, the CLI ends with an exit code: 0 when the file still parses, 1
-or 2 when it does not. No exception escapes cli.main.
+or 2 when it does not. No exception escapes cli.main. A mutated run file
+reads, or metrics.read_run raises a DdsiError.
 """
 
 import contextlib
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddsi.cli import main
+from ddsi.errors import DdsiError
+from ddsi.metrics import read_run
 
 GEN_TINY = [
     "--topics", "2", "--docs-per-topic", "3", "--vocab-per-topic", "12",
@@ -30,7 +34,8 @@ def run_cli(argv):
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """Bytes of the four input files, from a generate, train and eval."""
+    """Bytes of the four input files and of the eval's run file, from a
+    generate, train and eval."""
     root = tmp_path_factory.mktemp("fuzz")
     assert run_cli(["generate", *GEN_TINY, "--out", str(root / "data")]) == 0
     assert run_cli([
@@ -46,20 +51,22 @@ def originals(tmp_path_factory):
         "test.tsv": root / "data" / "test.tsv",
         "checkpoint.bin": root / "model" / "checkpoint.bin",
         "report.tsv": root / "eval" / "report.tsv",
+        "run.tsv": root / "eval" / "run.tsv",
     }
     return {name: path.read_bytes() for name, path in paths.items()}
 
 
+# one to four edits, each overwriting, inserting or deleting one byte
+EDITS = st.lists(
+    st.tuples(st.sampled_from(["set", "insert", "delete"]), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
 @st.composite
 def mutations(draw):
-    """A target file and a list of edits: overwrite, insert or delete one byte."""
-    target = draw(st.sampled_from(TARGETS))
-    edits = draw(st.lists(
-        st.tuples(st.sampled_from(["set", "insert", "delete"]), st.floats(0.0, 1.0, exclude_max=True),
-                  st.integers(0, 255)),
-        min_size=1, max_size=4,
-    ))
-    return target, edits
+    """A target file and a list of edits."""
+    return draw(st.sampled_from(TARGETS)), draw(EDITS)
 
 
 def mutate(blob: bytes, edits) -> bytes:
@@ -103,3 +110,16 @@ def test_mutated_inputs_end_in_an_exit_code(originals, mutation):
         assert code in (0, 1, 2)
         if target != "checkpoint.bin" and not is_utf8((work / target).read_bytes()):
             assert code == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(EDITS)
+def test_mutated_run_files_read_or_raise_a_ddsi_error(originals, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.tsv"
+        path.write_bytes(mutate(originals["run.tsv"], edits))
+        try:
+            read_run(path)
+        except DdsiError:
+            return
+        assert is_utf8(path.read_bytes())

@@ -1,0 +1,52 @@
+"""Every name a ddsi module imports is used in that module.
+
+A stand-in for a linter's unused-import rule (F401): it walks each
+module's syntax tree and fails on an imported name that no expression of
+the module reads. A name is used when it is read anywhere in the module
+or listed in its `__all__`. An import line that carries `# noqa: F401`
+is exempt; the benchmark wraps those names by module attribute.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ddsi"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}  # bound name -> line number of its import
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"line {lineno}: {name}" for name, lineno in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os\n", ["line 1: os"]),
+    ("import os.path\nos.sep\n", []),
+    ("from a import (\n    b,\n    c,\n)\nc()\n", ["line 1: b"]),
+    ("from a import b as c\nb\n", ["line 1: c"]),
+    ("from a import b  # noqa: F401\n", []),
+    ("from a import b\n__all__ = ['b']\n", []),
+    ("from __future__ import annotations\n", []),
+])
+def test_unused_imports_finds_names_never_read(source, unused):
+    assert unused_imports(source) == unused

@@ -395,6 +395,28 @@ def test_read_run_rejects_ranks_that_are_not_1_to_n_in_file_order(tmp_path, rank
     assert exc.value.lineno == bad_line
 
 
+def test_read_run_skips_whitespace_lines_but_counts_them(tmp_path):
+    path = tmp_path / "run.tsv"
+    path.write_text("0\t3\t1\t0.5\n \t \n\n0\t4\t2\t0.4\n\t\n0\t4\t3\t0.1\n")
+    with pytest.raises(MalformedLine, match="docid 4") as exc:
+        read_run(path)
+    assert exc.value.lineno == 6
+    path.write_text("0\t3\t1\t0.5\n \t \n\n0\t4\t2\t0.4\n\t\n")
+    assert [r.entries for r in read_run(path)] == [[(3, 0.5), (4, 0.4)]]
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("cell", ["\u0663", "1_0", " 1", "1 ", "1\x1c"])
+def test_read_run_numbers_must_be_plain_ascii(tmp_path, column, cell):
+    cells = ["0", "3", "1", "1"]
+    cells[column] = cell
+    path = tmp_path / "run.tsv"
+    path.write_text("0\t2\t1\t0.5\n\n" + "\t".join(cells) + "\n")
+    with pytest.raises(MalformedLine, match="plain ASCII") as exc:
+        read_run(path)
+    assert exc.value.lineno == 3
+
+
 def test_report_tsv_roundtrip(tmp_path):
     report = MetricsReport(
         hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625,
@@ -428,7 +450,10 @@ def test_report_tsv_column_mismatch(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "column, cell", [("hits5", "0.7x5"), ("num_queries", "8.0"), ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-inf")]
+    "column, cell", [
+        ("hits5", "0.7x5"), ("num_queries", "8.0"), ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-inf"),
+        ("hits5", "nan"), ("cr", "inf"), ("num_queries", "1_0"), ("hits1", "\u0663"), ("ngd", " 3.25"), ("mrr10", "0.625\x0c"),
+    ]
 )
 def test_report_tsv_bad_number_is_a_column_mismatch(tmp_path, column, cell):
     report = MetricsReport(hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625, rouge_l_hom=0.1, ngd=3.25, cr=1.75, num_queries=8)
@@ -449,6 +474,33 @@ def test_run_and_report_readers_name_the_line_of_bad_utf8(tmp_path, read):
     with pytest.raises(MalformedLine) as exc:
         read(path)
     assert exc.value.lineno == 3
+
+
+def test_read_report_tsv_skips_whitespace_lines_but_counts_them(tmp_path):
+    report = MetricsReport(hits1=0.5, hits5=0.75, hits10=1.0, mrr10=0.625, rouge_l_hom=0.1, ngd=3.25, cr=1.75, num_queries=8)
+    path = tmp_path / "report.tsv"
+    write_report_tsv(report, path, dataset="synth", alpha=0.5)
+    header, row = path.read_text().splitlines()
+    path.write_text(f"\n \t\n{header}\n  \n{row}\n\t\n")
+    assert read_report_tsv(path)[0]["num_queries"] == 8
+    path.write_text(f"\n \t\n{header}\n  \n{row}\n\t\n{row[:-1]}x\n")
+    with pytest.raises(ColumnMismatch, match=":7:"):
+        read_report_tsv(path)
+
+
+def test_sort_report_rows_is_a_total_order():
+    rows = []
+    for hits1, rouge_l, num_queries in ((0.5, 0.2, 9), (0.25, None, 9), (0.25, 0.2, 9), (0.5, 0.2, 8), (0.5, None, 9)):
+        rows.append(dict(
+            dataset="corpus", alpha=1.0, hits1=hits1, hits5=0.75, hits10=1.0, mrr10=0.625,
+            rouge_l=rouge_l, ngd=3.25, cr=1.75, num_queries=num_queries,
+        ))
+    rows.append(dict(rows[0], alpha=None))
+    rows.append(dict(rows[0], alpha=0.5))
+    want = [rows[2], rows[1], rows[3], rows[0], rows[4], rows[6], rows[5]]
+    for shift in range(len(rows)):
+        assert sort_report_rows(rows[shift:] + rows[:shift]) == want
+        assert sort_report_rows((rows[shift:] + rows[:shift])[::-1]) == want
 
 
 def test_format_table_sorts_by_alpha_desc(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from ddsi.errors import (
     CheckpointVersionMismatch,
     EmptyQuery,
+    EmptyRun,
+    GoldOutOfRange,
     InvalidDims,
     KOutOfRange,
     TokenOutOfRange,
@@ -19,10 +21,12 @@ from ddsi.model import (
     forward,
     init_model,
     load_checkpoint,
+    pack_query_set,
     save_checkpoint,
     softmax,
     top_k,
 )
+from ddsi.corpus import QueryExample
 from ddsi.rng import Xoshiro256StarStar
 
 
@@ -104,6 +108,21 @@ def test_encode_rejects_empty_and_out_of_range():
         encode_query(p, [6])
     with pytest.raises(TokenOutOfRange):
         encode_query(p, [-1])
+
+
+def test_pack_query_set_checks_the_whole_set():
+    p = init_model(6, 4, 3, 0)
+    queries = [QueryExample(qid=0, tokens=[1, 5], gold_docid=2), QueryExample(qid=1, tokens=[3], gold_docid=0)]
+    tok, lengths, golds = pack_query_set(p, queries)
+    assert lengths.tolist() == [2, 1] and tok[0].tolist() == [1, 5] and tok[1, 0] == 3
+    assert golds.dtype == np.int64 and golds.tolist() == [2, 0]
+    with pytest.raises(EmptyRun, match="no queries"):
+        pack_query_set(p, [])
+    for field, bad, error in (("tokens", [], EmptyQuery), ("tokens", [6], TokenOutOfRange),
+                              ("gold_docid", 3, GoldOutOfRange), ("gold_docid", -1, GoldOutOfRange)):
+        broken = QueryExample(**{**vars(queries[1]), field: bad})
+        with pytest.raises(error):
+            pack_query_set(p, [queries[0], broken])
 
 
 def test_forward_zero_classifier_returns_bias():

@@ -10,6 +10,7 @@ from ddsi import train as train_mod
 from ddsi.corpus import QueryExample
 from ddsi.errors import (
     EmptyQuery,
+    EmptyRun,
     GoldOutOfRange,
     InvalidConfig,
     NonFiniteGradient,
@@ -461,7 +462,8 @@ def test_train_rejects_bad_configs(small_world):
         train(corpus, train_q, TrainConfig(alpha=1.5))
     with pytest.raises(InvalidConfig):
         train(corpus, train_q, TrainConfig(k=corpus.num_docs + 1))
-    with pytest.raises(InvalidConfig):
+    # an empty query set is not a configuration but missing input, as in eval and rerank
+    with pytest.raises(EmptyRun, match="no queries"):
         train(corpus, [], TrainConfig())
     for lr in (math.nan, math.inf):
         with pytest.raises(InvalidConfig):
