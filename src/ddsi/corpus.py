@@ -21,7 +21,7 @@ from .errors import (
     MalformedLine,
     NonDenseDocids,
 )
-from .fileio import atomic_open, plain_number, read_records
+from .fileio import atomic_open, int_cell, read_records
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -119,6 +119,7 @@ def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
 def load_corpus(path) -> Corpus:
     """Read UTF-8 JSONL with fields docid (int), title (str), text (str)."""
     rows = []
+    line_of: dict[int, int] = {}  # the line each docid is on
     for lineno, line in read_records(path):
         try:
             obj = json.loads(line)
@@ -134,6 +135,9 @@ def load_corpus(path) -> Corpus:
             raise MalformedLine(path, lineno, "docid must be an integer")
         if not isinstance(title, str) or not isinstance(body, str):
             raise MalformedLine(path, lineno, "title/text must be strings")
+        if docid in line_of:
+            raise MalformedLine(path, lineno, f"docid {docid} is already on line {line_of[docid]}")
+        line_of[docid] = lineno
         rows.append((docid, title, body))
     if not rows:
         raise EmptyInput(f"{path}: no documents")
@@ -155,9 +159,9 @@ def load_queries(path, corpus: Corpus) -> list[QueryExample]:
             raise MalformedLine(path, lineno, "expected query<TAB>docid")
         text, gold_str = parts
         try:
-            gold = int(plain_number(gold_str))
+            gold = int_cell(gold_str)
         except ValueError as e:
-            raise MalformedLine(path, lineno, "docid not an integer") from e
+            raise MalformedLine(path, lineno, f"docid {e}") from e
         if not 0 <= gold < corpus.num_docs:
             raise GoldOutOfRange(f"{path}:{lineno}: docid {gold} outside [0, {corpus.num_docs})")
         tokens = corpus.vocab.tokenize(text)

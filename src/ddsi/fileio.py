@@ -5,6 +5,7 @@ every input file is read by: its records, its numbers, its UTF-8."""
 from __future__ import annotations
 
 import io
+import math
 import os
 import secrets
 from contextlib import contextmanager
@@ -51,8 +52,19 @@ def read_records(path) -> list[tuple[int, str]]:
     return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(read_lines(path), start=1) if line.strip()]
 
 
-def plain_number(cell: str) -> str:
-    """cell, if it is a number as the writers write one: ASCII, with no "_" and no surrounding whitespace."""
-    if not cell.isascii() or "_" in cell or cell != cell.strip():
+def int_cell(cell: str) -> int:
+    """The id or count in cell, written as the writers write one: ASCII digits only."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(f"{cell!r} is not a plain ASCII integer: digits only")
+    return int(cell)
+
+
+def float_cell(cell: str) -> float:
+    """The number in cell, written as the writers write one: ASCII, finite, with no "_",
+    no leading "+" and no surrounding whitespace; "-0" is one, as a score can be -0.0."""
+    if not cell.isascii() or "_" in cell or cell != cell.strip() or cell.startswith("+"):
         raise ValueError(f"{cell!r} is not a plain ASCII number")
-    return cell
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell} is not finite")
+    return value

@@ -11,7 +11,6 @@ redundant result set.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import astuple, dataclass
 
@@ -27,7 +26,7 @@ from .errors import (
     MalformedLine,
     TooFewDocs,
 )
-from .fileio import atomic_open, plain_number, read_records
+from .fileio import atomic_open, float_cell, int_cell, read_records
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
 from .model import ModelParams, RankedList, batch_logits, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
 
@@ -74,32 +73,6 @@ def mrr_at_k(run: EvalRun, k: int = 10) -> float:
     return total / len(run.rankings)
 
 
-def lcs_len(a, b) -> int:
-    """Longest common subsequence length of two token sequences."""
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    tok, lengths = kernels.pack_token_matrix([list(a), list(b)])
-    out = kernels.lcs_lengths_pairs(tok, lengths, np.array([0]), np.array([1]))
-    return int(out[0])
-
-
-def _rouge_f1(lcs, len_a, len_b) -> np.ndarray:
-    """F1 of each pair, 2pr/(p+r) with p = lcs/len_b and r = lcs/len_a; 0 where lcs is 0."""
-    lcs = np.asarray(lcs)
-    precision = lcs / len_b
-    recall = lcs / len_a
-    f1 = np.zeros(lcs.shape, dtype=np.float64)
-    np.divide(2.0 * precision * recall, precision + recall, out=f1, where=lcs > 0)
-    return f1
-
-
-def rouge_l(a, b) -> float:
-    """LCS-based F1 between two token sequences."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptyDocument("<rouge input>")
-    return float(_rouge_f1(lcs_len(a, b), len(a), len(b)))
-
-
 def _homogenization_sets(tok, lengths, sets) -> list[float]:
     """Mean pairwise ROUGE-L of each set of two or more rows, in set order.
 
@@ -115,7 +88,12 @@ def _homogenization_sets(tok, lengths, sets) -> list[float]:
     pa, pb = np.concatenate(firsts), np.concatenate(seconds)
     if (lengths[pa] == 0).any() or (lengths[pb] == 0).any():
         raise EmptyDocument("<homogenization input>")
-    f1 = _rouge_f1(kernels.lcs_lengths_pairs(tok, lengths, pa, pb), lengths[pa], lengths[pb])
+    # ROUGE-L F1 of each pair, 2pr/(p+r) with p = lcs/len_b and r = lcs/len_a; 0 where lcs is 0
+    lcs = kernels.lcs_lengths_pairs(tok, lengths, pa, pb)
+    precision = lcs / lengths[pb]
+    recall = lcs / lengths[pa]
+    f1 = np.zeros(lcs.shape, dtype=np.float64)
+    np.divide(2.0 * precision * recall, precision + recall, out=f1, where=lcs > 0)
     bounds = np.cumsum([len(rows) for rows in firsts]).tolist()
     return [float(np.mean(f1[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
@@ -127,6 +105,11 @@ def homogenization(docs) -> float:
         raise TooFewDocs(f"homogenization needs >= 2 documents, got {len(docs)}")
     tok, lengths = kernels.pack_token_matrix(docs)
     return _homogenization_sets(tok, lengths, [np.arange(len(docs))])[0]
+
+
+def rouge_l(a, b) -> float:
+    """LCS-based F1 between two token sequences: the homogenization of the pair."""
+    return homogenization([a, b])
 
 
 # _ngd_sets counts distinct n-grams for groups of sets of about this many
@@ -258,8 +241,8 @@ def read_run(path) -> list[RankedList]:
         if len(parts) != 4:
             raise MalformedLine(path, lineno, "expected qid<TAB>docid<TAB>rank<TAB>score")
         try:
-            qid, docid, rank = map(int, map(plain_number, parts[:3]))
-            score = float(plain_number(parts[3]))
+            qid, docid, rank = map(int_cell, parts[:3])
+            score = float_cell(parts[3])
         except ValueError as e:
             raise MalformedLine(path, lineno, str(e)) from e
         entries = by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries
@@ -311,16 +294,12 @@ def read_report_tsv(path) -> list[dict]:
         parts = line.split("\t")
         if len(parts) != len(REPORT_COLUMNS):
             raise ColumnMismatch(f"{path}:{lineno}: expected {len(REPORT_COLUMNS)} columns")
-        row: dict = dict(zip(REPORT_COLUMNS, parts))
-        try:
-            for key in _FLOATS:
-                row[key] = None if row[key] == "NA" else float(plain_number(row[key]))
-            row["num_queries"] = int(plain_number(row["num_queries"]))
-        except ValueError as e:
-            raise ColumnMismatch(f"{path}:{lineno}: {e}") from e
-        for key in _FLOATS:
-            if row[key] is not None and not math.isfinite(row[key]):
-                raise ColumnMismatch(f"{path}:{lineno}: {key} {row[key]} is not finite")
+        row: dict = {"dataset": parts[0]}
+        for key, cell in zip(REPORT_COLUMNS[1:], parts[1:]):
+            try:
+                row[key] = int_cell(cell) if key == "num_queries" else None if cell == "NA" else float_cell(cell)
+            except ValueError as e:
+                raise ColumnMismatch(f"{path}:{lineno}: {key} {e}") from e
         rows.append(row)
     return rows
 

@@ -169,13 +169,6 @@ def batch_logits(p: ModelParams, tok: np.ndarray, lengths: np.ndarray) -> np.nda
     return np.concatenate([logits for _, _, logits in score_blocks(p, tok, lengths)])
 
 
-def softmax(logits) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def top_k(logits, k: int, qid: int = -1) -> RankedList:
     """K highest-scoring docids; ties go to the smaller docid."""
     z = np.asarray(logits, dtype=np.float64)

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import kernels
 from .corpus import Corpus, QueryExample
-from .errors import (
-    GoldOutOfRange,
-    InvalidConfig,
-    NonFiniteGradient,
-    ShapeMismatch,
-)
+from .errors import InvalidConfig, NonFiniteGradient, ShapeMismatch
 from .fileio import atomic_open
 # batch_logits stays importable only because perfbench/layers.py wraps it by name
 from .model import ModelParams, batch_logits, init_model, pack_query_set, score_blocks  # noqa: F401
@@ -104,14 +99,6 @@ class EpochStats:
     train_hits1: float
 
 
-def cross_entropy(probs, gold: int) -> float:
-    """-log(probs[gold]) with the probability floored at 1e-12."""
-    p = np.asarray(probs, dtype=np.float64)
-    if not 0 <= gold < p.shape[0]:
-        raise GoldOutOfRange(f"gold docid {gold} outside [0, {p.shape[0]})")
-    return float(-math.log(max(float(p[gold]), kernels.PROB_FLOOR)))
-
-
 def diversity_term(p: ModelParams, topk) -> float:
     """Mean pairwise cosine among the classifier rows of the given docids.
 
@@ -130,6 +117,11 @@ def diversity_term(p: ModelParams, topk) -> float:
     return float(cosines.sum()) / 2.0 / npairs
 
 
+def _mix(ce: float, div: float, alpha: float) -> float:
+    """The loss alpha * CE + (1 - alpha) * D; CE alone at alpha == 1, where D is never computed."""
+    return ce if alpha == 1.0 else alpha * ce + (1.0 - alpha) * div
+
+
 def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.ndarray, cfg: TrainConfig,
               grads: ModelParams) -> LossBreakdown:
     """One batch of checked, packed queries through kernels.train_pass; the
@@ -139,12 +131,9 @@ def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.nd
     )
     _count_pairs(int(pair_evals))
     bsz = tok.shape[0]
-    ce = ce_sum / bsz
-    if cfg.alpha == 1.0:
-        return LossBreakdown(ce=ce, diversity=0.0, alpha=cfg.alpha, total=ce, selected_topk=())
-    div = div_sum / bsz
-    total = cfg.alpha * ce + (1.0 - cfg.alpha) * div
-    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=topk)
+    ce, div = ce_sum / bsz, div_sum / bsz
+    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=_mix(ce, div, cfg.alpha),
+                         selected_topk=() if cfg.alpha == 1.0 else topk)
 
 
 def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfig):
@@ -159,11 +148,6 @@ def _check_finite(breakdown: LossBreakdown, grads: ModelParams) -> None:
         raise NonFiniteGradient("loss is not finite")
     if not np.isfinite(grads.flat).all():
         raise NonFiniteGradient("gradient is not finite")
-
-
-def total_loss(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> LossBreakdown:
-    cfg.validate()
-    return _run_pass(p, *_pack_examples(p, batch, cfg), cfg, ModelParams.zeros(*p.dims))
 
 
 def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:
@@ -267,11 +251,10 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
             step(params, grads, state, cfg)
             ce_sum += breakdown.ce * len(chunk)
             div_sum += breakdown.diversity * len(chunk)
-        ce = ce_sum / num
-        div = div_sum / num
-        total = ce if cfg.alpha == 1.0 else cfg.alpha * ce + (1.0 - cfg.alpha) * div
+        ce, div = ce_sum / num, div_sum / num
         hits1 = _train_hits1(params, tok_all, lengths_all, golds_all)
-        history.append(EpochStats(epoch=epoch, ce=ce, diversity=div, total=total, train_hits1=hits1))
+        history.append(EpochStats(epoch=epoch, ce=ce, diversity=div, total=_mix(ce, div, cfg.alpha),
+                                  train_hits1=hits1))
     return params, history
 
 

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
-from ddsi.corpus import SyntheticConfig, generate_synthetic
+from ddsi.corpus import QueryExample, SyntheticConfig, generate_synthetic
+from ddsi.model import init_model
+from ddsi.train import TrainConfig, backward
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +22,18 @@ def small_world():
     )
     corpus, train_q, test_q = generate_synthetic(cfg)
     return cfg, corpus, train_q, test_q
+
+
+@pytest.fixture(scope="session")
+def one_query_loss():
+    """backward(...) at alpha 1 for one query whose logits are the given ones:
+    cls_w is zeroed, so cls_b is the logits. Unless the gold's probability is
+    clamped, grads.cls_b is then the softmax less the gold's one-hot."""
+    def loss(logits, gold):
+        logits = np.asarray(logits, dtype=np.float64)
+        params = init_model(1, 1, logits.shape[0], 0)
+        params.cls_w[:] = 0.0
+        params.cls_b[:] = logits
+        query = QueryExample(qid=0, tokens=[0], gold_docid=gold)
+        return backward(params, [query], TrainConfig(alpha=1.0, k=2, batch_size=1))
+    return loss

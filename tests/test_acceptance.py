@@ -15,7 +15,6 @@ import pytest
 from ddsi.cli import main
 from ddsi.corpus import SyntheticConfig, generate_synthetic
 from ddsi.metrics import (
-    MetricsReport,
     compression_ratio,
     evaluate,
     homogenization,
@@ -36,9 +35,9 @@ from ddsi.train import (
     train,
 )
 
-from oracles import finite_difference_grads, oracle_logits, oracle_mmr, selection_gap
+from oracles import finite_difference_grads, oracle_logits, oracle_mmr
 from test_metrics import run_with_gold_ranks
-from test_train import grads_close, make_instance, stable_instances
+from test_train import grads_close, stable_instances
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ddsi.corpus import (
-    Corpus,
     SyntheticConfig,
     Vocab,
     generate_synthetic,
@@ -95,6 +94,14 @@ def test_load_corpus_non_dense(tmp_path):
     with pytest.raises(NonDenseDocids) as exc:
         load_corpus(path)
     assert exc.value.missing == 1
+
+
+def test_load_corpus_repeated_docid_names_both_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"docid": i, "title": "", "text": "w"} for i in (0, 1, 1, 2)])
+    with pytest.raises(MalformedLine, match="docid 1 is already on line 2") as exc:
+        load_corpus(path)
+    assert exc.value.lineno == 3
 
 
 def test_load_corpus_empty_document(tmp_path):
@@ -216,7 +223,7 @@ def test_load_queries_skips_whitespace_lines_but_counts_them(tmp_path, tiny_corp
     assert [(q.qid, q.gold_docid) for q in queries] == [(0, 1), (1, 2)]
 
 
-@pytest.mark.parametrize("gold", ["\u0663", "\uff13", "1_0", " 3", "3 ", "3\x0b", "three", ""])
+@pytest.mark.parametrize("gold", ["\u0663", "\uff13", "1_0", " 3", "3 ", "3\x0b", "three", "", "+1", "-1", "-0"])
 def test_load_queries_gold_must_be_a_plain_ascii_integer(tmp_path, tiny_corpus, gold):
     path = tmp_path / "q.tsv"
     path.write_text(f"alpha\t1\n\nt0w1 t0w2\t{gold}\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ddsi.errors import MalformedLine
-from ddsi.fileio import atomic_open, read_lines
+from ddsi.fileio import atomic_open, float_cell, int_cell, read_lines
 
 
 def test_atomic_open_replaces_the_file_on_a_clean_exit(tmp_path):
@@ -65,3 +65,17 @@ def test_read_lines_names_the_line_of_the_first_bad_byte(tmp_path, blob, lineno)
     with pytest.raises(MalformedLine) as exc:
         read_lines(path)
     assert exc.value.lineno == lineno
+
+
+@given(st.integers(min_value=0))
+def test_int_cell_reads_digits_and_nothing_signed(n):
+    assert int_cell(str(n)) == n
+    for signed in (f"+{n}", f"-{n}"):
+        with pytest.raises(ValueError, match="plain ASCII integer"):
+            int_cell(signed)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_float_cell_reads_every_finite_float_as_written(x):
+    # the writers' .17g, -0.0 and exponents like 1e+300 included
+    assert float_cell(format(x, ".17g")).hex() == x.hex()

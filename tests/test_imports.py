@@ -1,4 +1,4 @@
-"""Every name a ddsi module imports is used in that module.
+"""Every name a ddsi module or a test module imports is used in that module.
 
 A stand-in for a linter's unused-import rule (F401): it walks each
 module's syntax tree and fails on an imported name that no expression of
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "ddsi"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ddsi"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +38,11 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_test_module_uses_every_name_it_imports(module):
+    assert unused_imports((TESTS / module).read_text()) == []
 
 
 @pytest.mark.parametrize("source, unused", [

@@ -25,7 +25,6 @@ from ddsi.metrics import (
     format_report_table,
     hits_at_k,
     homogenization,
-    lcs_len,
     mrr_at_k,
     ngd,
     read_report_tsv,
@@ -130,6 +129,11 @@ def test_empty_run_rejected():
 # ---------------------------------------------------------------------------
 # lcs / rouge
 # ---------------------------------------------------------------------------
+
+
+def lcs_len(a, b) -> int:
+    tok, lengths = kernels.pack_token_matrix([a, b])
+    return int(kernels.lcs_lengths_pairs(tok, lengths, np.array([0]), np.array([1]))[0])
 
 
 def test_lcs_identity_subseq_empty():
@@ -406,7 +410,7 @@ def test_read_run_skips_whitespace_lines_but_counts_them(tmp_path):
 
 
 @pytest.mark.parametrize("column", range(4))
-@pytest.mark.parametrize("cell", ["\u0663", "1_0", " 1", "1 ", "1\x1c"])
+@pytest.mark.parametrize("cell", ["\u0663", "1_0", " 1", "1 ", "1\x1c", "+1"])
 def test_read_run_numbers_must_be_plain_ascii(tmp_path, column, cell):
     cells = ["0", "3", "1", "1"]
     cells[column] = cell
@@ -415,6 +419,25 @@ def test_read_run_numbers_must_be_plain_ascii(tmp_path, column, cell):
     with pytest.raises(MalformedLine, match="plain ASCII") as exc:
         read_run(path)
     assert exc.value.lineno == 3
+
+
+@pytest.mark.parametrize("line", [
+    "-1\t0\t1\t0.5", "3\t-0\t1\t0.5", "3\t0\t-1\t0.5", "3\t0\t1\tnan", "3\t0\t1\tinf", "3\t0\t1\t-inf", "3\t0\t1\t1e999",
+])
+def test_read_run_ids_carry_no_sign_and_scores_are_finite(tmp_path, line):
+    path = tmp_path / "run.tsv"
+    path.write_text("0\t2\t1\t0.5\n" + line + "\n")
+    with pytest.raises(MalformedLine) as exc:
+        read_run(path)
+    assert exc.value.lineno == 2
+
+
+def test_read_run_reads_a_negative_zero_score(tmp_path):
+    path = tmp_path / "run.tsv"
+    path.write_text("3\t0\t1\t-0\n3\t1\t2\t-1.5e-300\n")
+    [ranking] = read_run(path)
+    assert ranking.qid == 3
+    assert [(docid, score.hex()) for docid, score in ranking.entries] == [(0, "-0x0.0p+0"), (1, (-1.5e-300).hex())]
 
 
 def test_report_tsv_roundtrip(tmp_path):
@@ -453,6 +476,7 @@ def test_report_tsv_column_mismatch(tmp_path):
     "column, cell", [
         ("hits5", "0.7x5"), ("num_queries", "8.0"), ("alpha", "nan"), ("alpha", "inf"), ("alpha", "-inf"),
         ("hits5", "nan"), ("cr", "inf"), ("num_queries", "1_0"), ("hits1", "\u0663"), ("ngd", " 3.25"), ("mrr10", "0.625\x0c"),
+        ("hits1", "+0.5"), ("num_queries", "-8"), ("num_queries", "+8"),
     ]
 )
 def test_report_tsv_bad_number_is_a_column_mismatch(tmp_path, column, cell):

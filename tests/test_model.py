@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -23,7 +24,6 @@ from ddsi.model import (
     load_checkpoint,
     pack_query_set,
     save_checkpoint,
-    softmax,
     top_k,
 )
 from ddsi.corpus import QueryExample
@@ -150,32 +150,30 @@ def test_forward_bias_shift_preserves_topk():
     assert top_k(logits, 3).docids() == top_k(shifted, 3).docids()
 
 
-def test_softmax_uniform():
-    np.testing.assert_allclose(softmax([0.0, 0.0, 0.0, 0.0]), np.full(4, 0.25), atol=1e-15)
+def test_softmax_uniform(one_query_loss):
+    _, grads = one_query_loss(np.zeros(4), 1)
+    np.testing.assert_allclose(grads.cls_b + np.eye(4)[1], np.full(4, 0.25), atol=1e-15)
 
 
-def test_softmax_extreme_no_overflow():
-    out = softmax([1000.0, 0.0])
-    assert out[0] == pytest.approx(1.0, abs=1e-12)
-    assert out[1] == pytest.approx(0.0, abs=1e-12)
-    assert np.isfinite(out).all()
+def test_softmax_extreme_no_overflow(one_query_loss):
+    # exp(1000) overflows, and the warning it raises is an error here
+    breakdown, grads = one_query_loss([1000.0, 0.0], 0)
+    assert breakdown.ce == 0.0
+    np.testing.assert_allclose(grads.cls_b + [1.0, 0.0], [1.0, 0.0], atol=1e-12)
 
 
-def test_softmax_log_weights():
-    out = softmax(np.log([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(out, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+def test_softmax_log_weights(one_query_loss):
+    breakdown, grads = one_query_loss(np.log([1.0, 2.0, 3.0]), 2)
+    assert breakdown.ce == pytest.approx(math.log(2.0), abs=1e-12)
+    np.testing.assert_allclose(grads.cls_b + [0.0, 0.0, 1.0], [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
 
 
-def test_softmax_single_class():
-    np.testing.assert_allclose(softmax([3.7]), [1.0], atol=0)
-
-
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=20), st.floats(min_value=-10, max_value=10))
-def test_softmax_shift_invariant_and_normalized(logits, shift):
-    a = softmax(logits)
-    b = softmax(np.asarray(logits) + shift)
-    assert abs(a.sum() - 1.0) <= 1e-12
-    np.testing.assert_allclose(a, b, atol=1e-12)
+@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=2, max_size=20), st.floats(min_value=-10, max_value=10))
+def test_softmax_shift_invariant_and_normalized(one_query_loss, logits, shift):
+    a, grads = one_query_loss(logits, 0)
+    b, _ = one_query_loss(np.asarray(logits) + shift, 0)
+    assert abs(grads.cls_b.sum()) <= 1e-12
+    assert abs(a.ce - b.ce) <= 1e-12
 
 
 def test_top_k_basic():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ddsi import kernels
-from ddsi import train as train_mod
 from ddsi.corpus import QueryExample
 from ddsi.errors import (
     EmptyQuery,
@@ -26,13 +25,11 @@ from ddsi.train import (
     EpochStats,
     TrainConfig,
     backward,
-    cross_entropy,
     diversity_term,
     diversity_pair_evals,
     init_optimizer_state,
     reset_diversity_pair_evals,
     step,
-    total_loss,
     train,
     write_history,
 )
@@ -86,24 +83,24 @@ def grads_close(analytic, numeric, rel=1e-4, floor=1e-7):
 # ---------------------------------------------------------------------------
 
 
-def test_cross_entropy_one_hot_is_zero():
-    probs = np.zeros(5)
-    probs[2] = 1.0
-    assert cross_entropy(probs, 2) == 0.0
+def test_cross_entropy_one_hot_is_zero(one_query_loss):
+    assert one_query_loss([0.0, 0.0, 1000.0, 0.0, 0.0], 2)[0].ce == 0.0
 
 
-def test_cross_entropy_uniform():
-    assert cross_entropy(np.full(4, 0.25), 1) == pytest.approx(math.log(4), abs=1e-12)
+def test_cross_entropy_uniform(one_query_loss):
+    assert one_query_loss(np.zeros(4), 1)[0].ce == pytest.approx(math.log(4), abs=1e-12)
 
 
-def test_cross_entropy_floor():
-    probs = np.array([1e-20, 1.0 - 1e-20])
-    assert cross_entropy(probs, 0) == pytest.approx(-math.log(1e-12), abs=1e-12)
+def test_cross_entropy_floor(one_query_loss):
+    # the gold's probability underflows to 0: the loss is the floor's, a constant
+    breakdown, grads = one_query_loss([-1000.0, 0.0], 0)
+    assert breakdown.ce == pytest.approx(-math.log(1e-12), abs=1e-12)
+    assert not grads.flat.any()
 
 
-def test_cross_entropy_gold_range():
+def test_cross_entropy_gold_range(one_query_loss):
     with pytest.raises(GoldOutOfRange):
-        cross_entropy(np.full(4, 0.25), 4)
+        one_query_loss(np.zeros(4), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ def test_total_loss_alpha_endpoints_and_linearity():
     breakdowns = {}
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
         cfg = TrainConfig(alpha=alpha, k=K, batch_size=BATCH)
-        breakdowns[alpha] = total_loss(params, batch, cfg)
+        breakdowns[alpha] = backward(params, batch, cfg)[0]
 
     ce = breakdowns[1.0].ce
     assert breakdowns[1.0].total == ce
@@ -177,7 +174,7 @@ def test_total_loss_alpha_endpoints_and_linearity():
 
 def test_total_loss_midpoint_arithmetic():
     params, batch, cfg = make_instance(4, 0.5)
-    b = total_loss(params, batch, cfg)
+    b = backward(params, batch, cfg)[0]
     assert b.total == pytest.approx(0.5 * b.ce + 0.5 * b.diversity, abs=1e-15)
 
 
@@ -185,7 +182,7 @@ def test_total_loss_matches_oracle():
     for seed in (5, 6, 7):
         for alpha in (0.0, 0.5, 1.0):
             params, batch, cfg = make_instance(seed, alpha)
-            got = total_loss(params, batch, cfg)
+            got = backward(params, batch, cfg)[0]
             pairs = [(q.tokens, q.gold_docid) for q in batch]
             want, selections = oracle_total_loss(list(params.arrays()), pairs, alpha, K)
             assert got.total == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -283,7 +280,7 @@ def test_k_must_fit_corpus():
     params, batch, cfg = make_instance(33, 0.5)
     cfg.k = N + 1
     with pytest.raises(InvalidConfig):
-        total_loss(params, batch, cfg)
+        backward(params, batch, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +429,13 @@ def test_train_equals_backward_and_step_per_batch(small_world, alpha, optimizer)
         assert history[epoch].diversity == div_sum / len(train_q)
     assert got.flat.tobytes() == params.flat.tobytes()
 
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_history_total_is_the_loss_mix_of_its_ce_and_diversity(small_world, alpha):
+    _, corpus, train_q, _ = small_world
+    _, history = train(corpus, train_q, TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3))
+    for row in history:
+        assert row.total == alpha * row.ce + (1.0 - alpha) * row.diversity
 
 
 def test_train_is_deterministic(small_world):
