@@ -141,6 +141,12 @@ def load_corpus(path) -> Corpus:
         rows.append((docid, title, body))
     if not rows:
         raise EmptyInput(f"{path}: no documents")
+    # the docids are distinct, so they are 0..N-1 unless one lies outside
+    n = len(rows)
+    stray = next((docid for docid in line_of if not 0 <= docid < n), None)
+    if stray is not None:
+        missing = next(want for want in range(n) if want not in line_of)
+        raise NonDenseDocids(missing, f"{path}:{line_of[stray]}: docid {stray} is not in 0..{n - 1}")
     return _build_corpus(rows)
 
 

@@ -35,9 +35,9 @@ class MalformedLine(DdsiError):
 
 
 class NonDenseDocids(DdsiError):
-    def __init__(self, missing):
+    def __init__(self, missing, detail=""):
         self.missing = missing
-        super().__init__(f"docids are not exactly 0..N-1; first missing id: {missing}")
+        super().__init__(f"docids are not exactly 0..N-1; first missing id: {missing}{'; ' + detail if detail else ''}")
 
 
 class EmptyDocument(DdsiError):

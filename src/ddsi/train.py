@@ -15,6 +15,8 @@ selected classifier rows.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,11 @@ ADAM_EPS = 1e-8
 # Adam updates the parameters in slices of this many floats: the six
 # 256 KB slices it touches at once stay in a 2 MB L2 cache
 ADAM_BLOCK = 1 << 15
+# From this many parameters on, train() shares each Adam step with one
+# helper thread (see AdamHelper). Below it, the two threads hand the GIL to
+# each other more often than the second core saves: every split measured at
+# 87,624 parameters lost or tied.
+ADAM_SPLIT_MIN = 4 * ADAM_BLOCK
 
 # cosine pair evaluations performed by the diversity path since the last
 # reset; stays at 0 through an alpha == 1 run
@@ -178,8 +185,116 @@ def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
     return state
 
 
-def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig) -> ModelParams:
-    """Apply one optimizer update in place and return the params."""
+def _adam_chunks(chunks, m: np.ndarray, v: np.ndarray, g: np.ndarray, p: np.ndarray, lr: float, bc1: float,
+                 bc2: float, scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """Adam's update of p, m and v in place over each [lo, hi) of chunks:
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time."""
+    for lo, hi in chunks:
+        mb, vb, gb, pb = m[lo:hi], v[lo:hi], g[lo:hi], p[lo:hi]
+        a, b = (w[: pb.size] for w in scratch)
+        mb *= ADAM_BETA1
+        mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
+        vb *= ADAM_BETA2
+        np.multiply(gb, 1.0 - ADAM_BETA2, out=a)
+        vb += np.multiply(a, gb, out=a)
+        np.divide(mb, bc1, out=a)
+        a *= lr
+        np.divide(vb, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        pb -= a
+
+
+class AdamHelper:
+    """One thread that shares with the caller each Adam step it is given
+    (see step).
+
+    numpy releases the GIL inside each ufunc, so the two threads update
+    chunks at once, and each element goes through the same operations as
+    without a helper. The vector is cut into equal chunks of at most
+    ADAM_BLOCK floats. The helper claims them from the front, embedding
+    rows, and the caller from the back, so that it writes first the hidden
+    and classifier tail that the next training pass reads. When the helper
+    starts late or is descheduled, the caller claims what it has not
+    reached, instead of waiting for it. Use it in a with block, which
+    joins the thread on the way out.
+    """
+
+    def __init__(self, size: int):
+        count = -(-size // ADAM_BLOCK)
+        self.chunks = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+        width = -(-size // count)
+        self.scratch = (np.empty(width), np.empty(width))
+        self._lock = threading.Lock()
+        self._front = self._back = 0  # the chunks of this step not yet claimed
+        self._job = self._error = None
+        # each is held while there is nothing to hand over: start() releases
+        # _go to the helper, and the helper _done to wait(). Bare locks, since
+        # importing queue maps two more shared libraries (0.2 MB of RSS).
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._thread = threading.Thread(target=self._serve, name="adam-helper", daemon=True)
+        self._thread.start()
+
+    def claim(self, from_front: bool):
+        """Yield, one at a time, the first or the last chunk of this step
+        that neither thread has claimed yet."""
+        while True:
+            with self._lock:
+                if self._front == self._back:
+                    return
+                if from_front:
+                    i = self._front
+                    self._front += 1
+                else:
+                    self._back -= 1
+                    i = self._back
+            yield self.chunks[i]
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            errstate, args = self._job
+            try:
+                with np.errstate(**errstate):
+                    _adam_chunks(self.claim(from_front=True), *args, self.scratch)
+            except BaseException as e:  # raised again in the caller by wait()
+                self._error = e
+            self._done.release()
+
+    def start(self, *args) -> None:
+        """Open a step to both threads and wake the helper; numpy's error
+        state does not carry into a thread, so the caller's goes with it."""
+        self._front, self._back = 0, len(self.chunks)
+        self._job = (np.geterr(), args)
+        self._go.release()
+
+    def wait(self) -> None:
+        """Wait for the helper's part of the step, and raise what it raised."""
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def __enter__(self) -> "AdamHelper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._job = None
+        if self._go.locked():  # not when a wait() was interrupted before the helper woke
+            self._go.release()
+        self._thread.join()
+
+
+def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig,
+         helper: AdamHelper | None = None) -> ModelParams:
+    """Apply one optimizer update in place and return the params. An Adam
+    step with a helper made for p.flat.size (see AdamHelper) leaves the
+    same bytes as one without."""
     if g.dims != p.dims:
         raise ShapeMismatch(f"gradient dims {g.dims} != param dims {p.dims}")
     if state.kind == "sgd":
@@ -187,26 +302,16 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
     elif state.kind == "adam":
         state.step_count += 1
         t = state.step_count
-        bc1 = 1.0 - ADAM_BETA1 ** t
-        bc2 = 1.0 - ADAM_BETA2 ** t
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time,
-        # one ADAM_BLOCK slice at a time
-        for lo in range(0, p.flat.size, ADAM_BLOCK):
-            hi = lo + ADAM_BLOCK
-            m, v, gb, pb = state.m[lo:hi], state.v[lo:hi], g.flat[lo:hi], p.flat[lo:hi]
-            a, b = (w[: pb.size] for w in state.scratch)
-            m *= ADAM_BETA1
-            m += np.multiply(gb, 1.0 - ADAM_BETA1, out=a)
-            v *= ADAM_BETA2
-            np.multiply(gb, 1.0 - ADAM_BETA2, out=a)
-            v += np.multiply(a, gb, out=a)
-            np.divide(m, bc1, out=a)
-            a *= cfg.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            pb -= a
+        args = (state.m, state.v, g.flat, p.flat, cfg.lr, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+        if helper is None:
+            _adam_chunks([(lo, lo + ADAM_BLOCK) for lo in range(0, p.flat.size, ADAM_BLOCK)], *args, state.scratch)
+        else:
+            helper.start(*args)
+            try:
+                _adam_chunks(helper.claim(from_front=False), *args, state.scratch)
+            finally:
+                # the helper may still be writing p, m and v until it is done
+                helper.wait()
     else:
         raise InvalidConfig(f"unknown optimizer {state.kind!r}")
     return p
@@ -231,30 +336,32 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
 
     history: list[EpochStats] = []
     num = len(queries)
-    for epoch in range(cfg.epochs):
-        order = list(range(num))
-        Xoshiro256StarStar(mix_seed(cfg.seed, epoch)).shuffle(order)
-        order = np.array(order, dtype=np.int64)
-        ce_sum = 0.0
-        div_sum = 0.0
-        for start in range(0, num, cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
-            lengths = lengths_all[chunk]
-            # the same matrix pack_queries builds for this batch alone
-            tok = tok_all[chunk, : lengths.max()]
-            grads.flat.fill(0.0)
-            breakdown = _run_pass(params, tok, lengths, golds_all[chunk], cfg, grads)
-            try:
-                _check_finite(breakdown, grads)
-            except NonFiniteGradient as e:
-                raise NonFiniteGradient(f"epoch {epoch} batch {start // cfg.batch_size}: {e}") from e
-            step(params, grads, state, cfg)
-            ce_sum += breakdown.ce * len(chunk)
-            div_sum += breakdown.diversity * len(chunk)
-        ce, div = ce_sum / num, div_sum / num
-        hits1 = _train_hits1(params, tok_all, lengths_all, golds_all)
-        history.append(EpochStats(epoch=epoch, ce=ce, diversity=div, total=_mix(ce, div, cfg.alpha),
-                                  train_hits1=hits1))
+    split = state.kind == "adam" and params.flat.size >= ADAM_SPLIT_MIN
+    with AdamHelper(params.flat.size) if split else nullcontext() as helper:
+        for epoch in range(cfg.epochs):
+            order = list(range(num))
+            Xoshiro256StarStar(mix_seed(cfg.seed, epoch)).shuffle(order)
+            order = np.array(order, dtype=np.int64)
+            ce_sum = 0.0
+            div_sum = 0.0
+            for start in range(0, num, cfg.batch_size):
+                chunk = order[start : start + cfg.batch_size]
+                lengths = lengths_all[chunk]
+                # the same matrix pack_queries builds for this batch alone
+                tok = tok_all[chunk, : lengths.max()]
+                grads.flat.fill(0.0)
+                breakdown = _run_pass(params, tok, lengths, golds_all[chunk], cfg, grads)
+                try:
+                    _check_finite(breakdown, grads)
+                except NonFiniteGradient as e:
+                    raise NonFiniteGradient(f"epoch {epoch} batch {start // cfg.batch_size}: {e}") from e
+                step(params, grads, state, cfg, helper)
+                ce_sum += breakdown.ce * len(chunk)
+                div_sum += breakdown.diversity * len(chunk)
+            ce, div = ce_sum / num, div_sum / num
+            hits1 = _train_hits1(params, tok_all, lengths_all, golds_all)
+            history.append(EpochStats(epoch=epoch, ce=ce, diversity=div, total=_mix(ce, div, cfg.alpha),
+                                      train_hits1=hits1))
     return params, history
 
 

@@ -1,3 +1,6 @@
+import importlib
+import threading
+
 import numpy as np
 import pytest
 
@@ -37,3 +40,20 @@ def one_query_loss():
         query = QueryExample(qid=0, tokens=[0], gold_docid=gold)
         return backward(params, [query], TrainConfig(alpha=1.0, k=2, batch_size=1))
     return loss
+
+
+@pytest.fixture
+def adam_split(monkeypatch):
+    """train() splits every Adam step with a helper thread, whatever the
+    model's size. Returns the names of the threads that ran Adam chunks."""
+    train_module = importlib.import_module("ddsi.train")  # the package's `train` is the function
+    monkeypatch.setattr(train_module, "ADAM_SPLIT_MIN", 0)
+    threads = []
+    adam_chunks = train_module._adam_chunks
+
+    def recorded(*args):
+        threads.append(threading.current_thread().name)
+        adam_chunks(*args)
+
+    monkeypatch.setattr(train_module, "_adam_chunks", recorded)
+    return threads

@@ -76,3 +76,31 @@ def test_train_loop_calls_the_wrapped_step_and_pass_per_batch(small_world, alpha
     assert names.count(pass_span) == batches
     assert rec.counts["train.batches"] == batches
     assert rec.counts["train.examples"] == cfg.epochs * len(train_q)
+
+
+def test_train_with_the_adam_helper_records_each_step_once_and_only_from_the_main_thread(small_world, adam_split):
+    import threading
+
+    from ddsi.train import TrainConfig, train
+
+    class Recorder(spans.Recorder):
+        # spans.Recorder is not thread-safe: note which thread opens each span
+        def _open(self, name):
+            openers.add(threading.current_thread())
+            return super()._open(name)
+
+    openers = set()
+    _, corpus, train_q, _ = small_world
+    cfg = TrainConfig(alpha=0.5, k=5, epochs=2, batch_size=16, seed=3)
+    rec = Recorder()
+    layers.install(rec)
+    rec.on = True
+    try:
+        train(corpus, train_q, cfg)
+    finally:
+        rec.on = False
+        rec.unwrap_all()
+    assert "adam-helper" in adam_split
+    batches = cfg.epochs * math.ceil(len(train_q) / cfg.batch_size)
+    assert [s[0] for s in rec.spans].count("train.step") == batches
+    assert openers == {threading.main_thread()}

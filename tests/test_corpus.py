@@ -96,6 +96,20 @@ def test_load_corpus_non_dense(tmp_path):
     assert exc.value.missing == 1
 
 
+@pytest.mark.parametrize("docids, missing, lineno, stray", [
+    ((0, -1, 1), 2, 2, -1),
+    ((0, 7), 1, 2, 7),
+    ((3, 0, -1), 1, 1, 3),  # the first of two lines out of range
+])
+def test_load_corpus_docid_out_of_range_names_its_line(tmp_path, docids, missing, lineno, stray):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"docid": i, "title": "", "text": "w"} for i in docids])
+    with pytest.raises(NonDenseDocids) as exc:
+        load_corpus(path)
+    assert exc.value.missing == missing
+    assert str(exc.value).endswith(f"c.jsonl:{lineno}: docid {stray} is not in 0..{len(docids) - 1}")
+
+
 def test_load_corpus_repeated_docid_names_both_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(path, [{"docid": i, "title": "", "text": "w"} for i in (0, 1, 1, 2)])

@@ -1,6 +1,9 @@
 import importlib
 import math
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from ddsi.train import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
+    ADAM_SPLIT_MIN,
+    AdamHelper,
     EpochStats,
     TrainConfig,
     backward,
@@ -351,24 +356,28 @@ def test_adam_matches_reference_two_steps():
     assert params.hidden_b[0] == pytest.approx(theta, abs=1e-15)
 
 
-def assert_adam_steps_match_whole_vector_expressions(params, cfg, grads_at):
-    # the update as whole-vector numpy expressions with temporaries, bit for bit
+def assert_adam_steps_match_whole_vector_expressions(params, cfg, grads_at, helper=None):
+    # the update as whole-vector numpy expressions with temporaries, bit for
+    # bit, and a twin stepped without a helper
     state = init_optimizer_state(params, cfg)
+    twin = params.copy()
+    twin_state = init_optimizer_state(twin, cfg)
     theta = params.flat.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     for t in range(1, 51):
         grads = grads_at(t)
         g = grads.flat
-        step(params, grads, state, cfg)
+        step(params, grads, state, cfg, helper)
+        step(twin, grads, twin_state, cfg)
         m = m * ADAM_BETA1 + (1.0 - ADAM_BETA1) * g
         v = v * ADAM_BETA2 + (1.0 - ADAM_BETA2) * g * g
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         theta = theta - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        assert state.m.tobytes() == m.tobytes()
-        assert state.v.tobytes() == v.tobytes()
-        assert params.flat.tobytes() == theta.tobytes(), f"step {t}"
+        assert state.m.tobytes() == m.tobytes() == twin_state.m.tobytes()
+        assert state.v.tobytes() == v.tobytes() == twin_state.v.tobytes()
+        assert params.flat.tobytes() == theta.tobytes() == twin.flat.tobytes(), f"step {t}"
 
 
 def test_adam_steps_match_whole_vector_expressions():
@@ -385,20 +394,118 @@ def test_adam_steps_match_whole_vector_expressions_over_blocks_and_a_tail():
         params, TrainConfig(), lambda t: ModelParams(noise * (t % 5 - 2.5), *dims))
 
 
+def test_adam_steps_with_a_helper_match_whole_vector_expressions_and_a_helperless_step():
+    dims = (2500, 64, 200)
+    params = init_model(*dims, 46)
+    assert params.flat.size >= ADAM_SPLIT_MIN
+    noise = np.sin(np.arange(params.flat.size) * 0.7)
+    with AdamHelper(params.flat.size) as helper:
+        # chunks of at most ADAM_BLOCK floats, equal to a float, tile the vector
+        chunks = helper.chunks
+        widths = [hi - lo for lo, hi in chunks]
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == params.flat.size
+        assert len(chunks) > 4 and max(widths) - min(widths) <= 1 and max(widths) <= ADAM_BLOCK
+        assert_adam_steps_match_whole_vector_expressions(
+            params, TrainConfig(), lambda t: ModelParams(noise * (t % 5 - 2.5), *dims), helper)
+
+
+def test_adam_helper_takes_the_leading_chunks_and_the_caller_the_trailing_ones(monkeypatch):
+    train_module = importlib.import_module("ddsi.train")
+    adam_chunks = train_module._adam_chunks
+    claimed = {}
+
+    def recorded(chunks, *args):
+        mine = claimed.setdefault(threading.current_thread().name, [])
+        adam_chunks((mine.append(c) or c for c in chunks), *args)
+
+    monkeypatch.setattr(train_module, "_adam_chunks", recorded)
+    dims = (2500, 64, 200)
+    params = init_model(*dims, 49)
+    grads = ModelParams(np.sin(np.arange(params.flat.size) * 0.7), *dims)
+    state = init_optimizer_state(params, TrainConfig())
+    with AdamHelper(params.flat.size) as helper:
+        for _ in range(20):
+            claimed.clear()
+            step(params, grads, state, TrainConfig(), helper)
+            front, back = claimed.get("adam-helper", []), claimed[threading.main_thread().name]
+            assert front == helper.chunks[: len(front)]
+            assert back == helper.chunks[len(front):][::-1]
+
+
+def test_adam_helper_claims_each_chunk_once_under_thread_switches(monkeypatch):
+    # a chunk claimed by both threads or by neither changes m, v and params;
+    # tiny chunks, a short switch interval and a busy third thread make the
+    # claims race as often as they can
+    monkeypatch.setattr(importlib.import_module("ddsi.train"), "ADAM_BLOCK", 64)
+    dims = (100, 16, 30)
+    params = init_model(*dims, 48)
+    noise = np.cos(np.arange(params.flat.size) * 0.3)
+    busy = threading.Event()
+
+    def contend():
+        while not busy.is_set():
+            np.multiply(noise, noise)
+
+    other = threading.Thread(target=contend)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    other.start()
+    try:
+        with AdamHelper(params.flat.size) as helper:
+            assert len(helper.chunks) > 30
+            assert_adam_steps_match_whole_vector_expressions(
+                params, TrainConfig(), lambda t: ModelParams(noise * (t % 3 - 1.5), *dims), helper)
+    finally:
+        busy.set()
+        sys.setswitchinterval(interval)
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("errstate", [dict(over="ignore", invalid="ignore"), dict(over="raise")])
+def test_adam_helper_keeps_the_callers_floating_point_error_state(errstate):
+    # numpy's error state does not carry into a new thread; g * g overflows
+    # in the helper's half alone, which must ignore or raise it as the caller says
+    dims = (2500, 64, 200)
+    grads = ModelParams.zeros(*dims)
+    size = grads.flat.size
+    grads.flat[: size // 2] = 1e300
+    results = []
+    with AdamHelper(size) as helper:
+        for h in (None, helper):
+            params = init_model(*dims, 47)
+            state = init_optimizer_state(params, TrainConfig())
+            with warnings.catch_warnings(), np.errstate(**errstate):
+                warnings.simplefilter("error")
+                if errstate["over"] == "raise":
+                    with pytest.raises(FloatingPointError, match="overflow"):
+                        step(params, grads, state, TrainConfig(), h)
+                else:
+                    step(params, grads, state, TrainConfig(), h)
+            results.append(params.flat.tobytes())
+        # a step that raised leaves nothing behind for the next one
+        fresh = init_model(*dims, 47)
+        step(fresh, ModelParams.zeros(*dims), init_optimizer_state(fresh, TrainConfig()), TrainConfig(), helper)
+    assert results[0] == results[1]
+
+
 def test_warm_adam_step_allocates_less_than_one_flat_vector():
     # the whole-vector form peaks at three flat vectors of temporaries
     params = ModelParams.zeros(2500, 64, 200)
     grads = ModelParams(np.linspace(-1.0, 1.0, params.flat.size), *params.dims)
     cfg = TrainConfig()
     state = init_optimizer_state(params, cfg)
-    step(params, grads, state, cfg)
-    tracemalloc.start()
-    try:
-        step(params, grads, state, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < params.flat.nbytes, f"peak {peak} bytes"
+    with AdamHelper(params.flat.size) as helper:
+        for h in (None, helper):
+            step(params, grads, state, cfg, h)
+            tracemalloc.start()
+            try:
+                step(params, grads, state, cfg, h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < params.flat.nbytes, f"peak {peak} bytes, helper {h}"
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +513,16 @@ def test_warm_adam_step_allocates_less_than_one_flat_vector():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha, optimizer", [(1.0, "adam"), (0.5, "adam"), (0.5, "sgd")])
-def test_train_equals_backward_and_step_per_batch(small_world, alpha, optimizer):
+@pytest.mark.parametrize("alpha, optimizer, split", [
+    pytest.param(1.0, "adam", False, id="1.0-adam"),
+    pytest.param(0.5, "adam", False, id="0.5-adam"),
+    pytest.param(0.5, "sgd", False, id="0.5-sgd"),
+    pytest.param(1.0, "adam", True, id="1.0-adam-split"),
+    pytest.param(0.5, "adam", True, id="0.5-adam-split"),
+])
+def test_train_equals_backward_and_step_per_batch(small_world, request, alpha, optimizer, split):
+    # with split, train() steps with a helper and the loop below without one
+    threads = request.getfixturevalue("adam_split") if split else []
     _, corpus, train_q, _ = small_world
     cfg = TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3, optimizer=optimizer, lr=0.01)
     assert len(train_q) % cfg.batch_size, "the last batch should be a short one"
@@ -428,6 +543,7 @@ def test_train_equals_backward_and_step_per_batch(small_world, alpha, optimizer)
         assert history[epoch].ce == ce_sum / len(train_q)
         assert history[epoch].diversity == div_sum / len(train_q)
     assert got.flat.tobytes() == params.flat.tobytes()
+    assert ("adam-helper" in threads) == split
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
@@ -479,6 +595,38 @@ def test_train_nonfinite_diagnostic_names_epoch(small_world):
     cfg = TrainConfig(alpha=1.0, k=5, epochs=2, batch_size=16, seed=3, optimizer="sgd", lr=1e300)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteGradient, match=r"epoch \d+ batch \d+"):
         train(corpus, train_q, cfg)
+
+
+def test_train_joins_its_adam_helper_on_return_and_on_error(small_world, adam_split):
+    _, corpus, train_q, _ = small_world
+    before = threading.active_count()
+    train(corpus, train_q, TrainConfig(k=5, epochs=1, batch_size=16, seed=3))
+    assert "adam-helper" in adam_split
+    assert threading.active_count() == before
+    adam_split.clear()
+    cfg = TrainConfig(k=5, epochs=2, batch_size=16, seed=3, lr=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteGradient):
+        train(corpus, train_q, cfg)
+    assert "adam-helper" in adam_split
+    assert threading.active_count() == before
+
+
+def test_an_error_in_the_adam_helper_is_raised_by_train_which_joins_it(small_world, adam_split, monkeypatch):
+    train_module = importlib.import_module("ddsi.train")
+    adam_chunks = train_module._adam_chunks
+
+    def failing_in_the_helper(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper chunk failed")
+        adam_chunks(*args)
+
+    monkeypatch.setattr(train_module, "_adam_chunks", failing_in_the_helper)
+    _, corpus, train_q, _ = small_world
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper chunk failed"):
+        train(corpus, train_q, TrainConfig(k=5, epochs=1, batch_size=16, seed=3))
+    assert adam_split == [threading.main_thread().name]  # the caller's half of the first step
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("block", [None, 7])
