@@ -27,6 +27,7 @@ from .errors import (
     TooFewDocs,
 )
 from .fileio import atomic_open, float_cell, int_cell, read_records
+from .helper import Helper
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
 from .model import ModelParams, RankedList, batch_logits, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
 
@@ -171,6 +172,11 @@ def compression_ratio(texts) -> float:
     return len(raw) / len(zlib.compress(raw, 6))
 
 
+# report_from_run's threads call it by this name, which perfbench/layers.py
+# does not wrap: its span recorder serves one thread only
+_compression_ratio = compression_ratio
+
+
 def run_queries(p: ModelParams, queries: list[QueryExample], cutoff: int = 10) -> EvalRun:
     """Forward + top-cutoff for every query."""
     tok, lengths, golds = pack_query_set(p, queries)
@@ -182,6 +188,11 @@ def run_queries(p: ModelParams, queries: list[QueryExample], cutoff: int = 10) -
 
 
 def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
+    """The metrics of a run. A helper thread computes the compression
+    ratios while this one computes homogenization and NGD, then this one
+    takes the sets the helper has not reached. Each ratio is computed
+    whole by one thread and the mean is taken in set order, so the
+    report's bytes do not depend on how the threads share the sets."""
     if not run.rankings:
         raise EmptyRun("no queries in run")
     docs = corpus.documents
@@ -192,9 +203,16 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
     docids, rows = np.unique(flat, return_inverse=True)
     tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
     sets = np.split(rows, np.cumsum([len(ranking.entries) for ranking in run.rankings])[:-1])
-    hom_vals = _homogenization_sets(tok, lengths, sets)
-    ngd_vals = _ngd_sets(tok, lengths, sets)
-    cr_vals = [compression_ratio([docs[docid].body for docid, _ in ranking.entries]) for ranking in run.rankings]
+    cr_vals = np.empty(len(run.rankings))
+
+    def job(claimed):  # the ratio of each claimed set, into its slot
+        for s in claimed:
+            cr_vals[s] = _compression_ratio([docs[docid].body for docid, _ in run.rankings[s].entries])
+
+    with Helper("eval-helper") as helper, helper.share(len(cr_vals), job) as claimed:
+        hom_vals = _homogenization_sets(tok, lengths, sets)
+        ngd_vals = _ngd_sets(tok, lengths, sets)
+        job(claimed)
 
     return MetricsReport(
         hits1=hits_at_k(run, 1),

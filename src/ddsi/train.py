@@ -15,7 +15,6 @@ selected classifier rows.
 from __future__ import annotations
 
 import math
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from . import kernels
 from .corpus import Corpus, QueryExample
 from .errors import InvalidConfig, NonFiniteGradient, ShapeMismatch
 from .fileio import atomic_open
+from .helper import Helper
 # batch_logits stays importable only because perfbench/layers.py wraps it by name
 from .model import ModelParams, batch_logits, init_model, pack_query_set, score_blocks  # noqa: F401
 from .rng import Xoshiro256StarStar, mix_seed
@@ -36,7 +36,7 @@ ADAM_EPS = 1e-8
 # 256 KB slices it touches at once stay in a 2 MB L2 cache
 ADAM_BLOCK = 1 << 15
 # From this many parameters on, train() shares each Adam step with one
-# helper thread (see AdamHelper). Below it, the two threads hand the GIL to
+# helper thread (see step). Below it, the two threads hand the GIL to
 # each other more often than the second core saves: every split measured at
 # 87,624 parameters lost or tied.
 ADAM_SPLIT_MIN = 4 * ADAM_BLOCK
@@ -172,7 +172,10 @@ class OptimizerState:
     step_count: int = 0
     m: np.ndarray | None = None  # Adam moments, laid out like ModelParams.flat
     v: np.ndarray | None = None
-    scratch: tuple[np.ndarray, np.ndarray] | None = None  # Adam's work slices, so a step allocates nothing
+    chunks: list[tuple[int, int]] | None = None  # Adam's [lo, hi) slices of the flat vector
+    # Adam's work slices, a pair for the caller and a pair for a helper
+    # thread, so that a step allocates nothing
+    scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
 
 
 def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
@@ -180,8 +183,12 @@ def init_optimizer_state(p: ModelParams, cfg: TrainConfig) -> OptimizerState:
     if cfg.optimizer == "adam":
         state.m = np.zeros_like(p.flat)
         state.v = np.zeros_like(p.flat)
-        size = min(p.flat.size, ADAM_BLOCK)
-        state.scratch = (np.empty(size), np.empty(size))
+        # equal chunks of at most ADAM_BLOCK floats
+        size = p.flat.size
+        count = -(-size // ADAM_BLOCK)
+        state.chunks = [(size * i // count, size * (i + 1) // count) for i in range(count)]
+        width = -(-size // count)
+        state.scratch = tuple((np.empty(width), np.empty(width)) for _ in range(2))
     return state
 
 
@@ -206,95 +213,18 @@ def _adam_chunks(chunks, m: np.ndarray, v: np.ndarray, g: np.ndarray, p: np.ndar
         pb -= a
 
 
-class AdamHelper:
-    """One thread that shares with the caller each Adam step it is given
-    (see step).
-
-    numpy releases the GIL inside each ufunc, so the two threads update
-    chunks at once, and each element goes through the same operations as
-    without a helper. The vector is cut into equal chunks of at most
-    ADAM_BLOCK floats. The helper claims them from the front, embedding
-    rows, and the caller from the back, so that it writes first the hidden
-    and classifier tail that the next training pass reads. When the helper
-    starts late or is descheduled, the caller claims what it has not
-    reached, instead of waiting for it. Use it in a with block, which
-    joins the thread on the way out.
-    """
-
-    def __init__(self, size: int):
-        count = -(-size // ADAM_BLOCK)
-        self.chunks = [(size * i // count, size * (i + 1) // count) for i in range(count)]
-        width = -(-size // count)
-        self.scratch = (np.empty(width), np.empty(width))
-        self._lock = threading.Lock()
-        self._front = self._back = 0  # the chunks of this step not yet claimed
-        self._job = self._error = None
-        # each is held while there is nothing to hand over: start() releases
-        # _go to the helper, and the helper _done to wait(). Bare locks, since
-        # importing queue maps two more shared libraries (0.2 MB of RSS).
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._thread = threading.Thread(target=self._serve, name="adam-helper", daemon=True)
-        self._thread.start()
-
-    def claim(self, from_front: bool):
-        """Yield, one at a time, the first or the last chunk of this step
-        that neither thread has claimed yet."""
-        while True:
-            with self._lock:
-                if self._front == self._back:
-                    return
-                if from_front:
-                    i = self._front
-                    self._front += 1
-                else:
-                    self._back -= 1
-                    i = self._back
-            yield self.chunks[i]
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            errstate, args = self._job
-            try:
-                with np.errstate(**errstate):
-                    _adam_chunks(self.claim(from_front=True), *args, self.scratch)
-            except BaseException as e:  # raised again in the caller by wait()
-                self._error = e
-            self._done.release()
-
-    def start(self, *args) -> None:
-        """Open a step to both threads and wake the helper; numpy's error
-        state does not carry into a thread, so the caller's goes with it."""
-        self._front, self._back = 0, len(self.chunks)
-        self._job = (np.geterr(), args)
-        self._go.release()
-
-    def wait(self) -> None:
-        """Wait for the helper's part of the step, and raise what it raised."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-
-    def __enter__(self) -> "AdamHelper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._job = None
-        if self._go.locked():  # not when a wait() was interrupted before the helper woke
-            self._go.release()
-        self._thread.join()
-
-
 def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig,
-         helper: AdamHelper | None = None) -> ModelParams:
-    """Apply one optimizer update in place and return the params. An Adam
-    step with a helper made for p.flat.size (see AdamHelper) leaves the
-    same bytes as one without."""
+         helper: Helper | None = None) -> ModelParams:
+    """Apply one optimizer update in place and return the params.
+
+    With a helper, Adam shares its chunks with the helper thread, which
+    claims them from the front, embedding rows, while the caller claims
+    them from the back, so that it writes first the hidden and classifier
+    tail that the next training pass reads. numpy releases the GIL inside
+    each ufunc, so the two threads update chunks at once, and each element
+    goes through the same operations as without a helper: the bytes are
+    the same.
+    """
     if g.dims != p.dims:
         raise ShapeMismatch(f"gradient dims {g.dims} != param dims {p.dims}")
     if state.kind == "sgd":
@@ -303,15 +233,15 @@ def step(p: ModelParams, g: ModelParams, state: OptimizerState, cfg: TrainConfig
         state.step_count += 1
         t = state.step_count
         args = (state.m, state.v, g.flat, p.flat, cfg.lr, 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t)
+        chunks, (mine, theirs) = state.chunks, state.scratch
         if helper is None:
-            _adam_chunks([(lo, lo + ADAM_BLOCK) for lo in range(0, p.flat.size, ADAM_BLOCK)], *args, state.scratch)
+            _adam_chunks(chunks, *args, mine)
         else:
-            helper.start(*args)
-            try:
-                _adam_chunks(helper.claim(from_front=False), *args, state.scratch)
-            finally:
-                # the helper may still be writing p, m and v until it is done
-                helper.wait()
+            def job(claimed):
+                _adam_chunks(map(chunks.__getitem__, claimed), *args, theirs)
+
+            with helper.share(len(chunks), job) as claimed:
+                _adam_chunks(map(chunks.__getitem__, claimed), *args, mine)
     else:
         raise InvalidConfig(f"unknown optimizer {state.kind!r}")
     return p
@@ -337,7 +267,7 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
     history: list[EpochStats] = []
     num = len(queries)
     split = state.kind == "adam" and params.flat.size >= ADAM_SPLIT_MIN
-    with AdamHelper(params.flat.size) if split else nullcontext() as helper:
+    with Helper("adam-helper") if split else nullcontext() as helper:
         for epoch in range(cfg.epochs):
             order = list(range(num))
             Xoshiro256StarStar(mix_seed(cfg.seed, epoch)).shuffle(order)

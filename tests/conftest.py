@@ -1,12 +1,24 @@
 import importlib
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from ddsi.corpus import QueryExample, SyntheticConfig, generate_synthetic
+from ddsi.metrics import compression_ratio
 from ddsi.model import init_model
 from ddsi.train import TrainConfig, backward
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail any test that leaves running a thread it started, such as a
+    helper thread that train() or report_from_run() did not join."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +69,48 @@ def adam_split(monkeypatch):
 
     monkeypatch.setattr(train_module, "_adam_chunks", recorded)
     return threads
+
+
+@pytest.fixture
+def failing_eval_helper(monkeypatch):
+    """report_from_run's helper thread raises RuntimeError("helper set
+    failed") on the first set it claims, and the calling thread starts its
+    own work only once the helper has."""
+    metrics_module = importlib.import_module("ddsi.metrics")
+    homogenization_sets = metrics_module._homogenization_sets
+    raised = threading.Event()
+
+    def failing_in_the_helper(texts):
+        if threading.current_thread() is threading.main_thread():
+            return compression_ratio(texts)
+        raised.set()
+        raise RuntimeError("helper set failed")
+
+    def after_the_helper(*args):
+        assert raised.wait(timeout=30)
+        return homogenization_sets(*args)
+
+    monkeypatch.setattr(metrics_module, "_compression_ratio", failing_in_the_helper)
+    monkeypatch.setattr(metrics_module, "_homogenization_sets", after_the_helper)
+
+
+@pytest.fixture
+def thread_switches():
+    """A switch interval of 1 us and a busy third thread, so that the
+    claims of two threads race as often as they can."""
+    noise = np.cos(np.arange(4096) * 0.3)
+    busy = threading.Event()
+
+    def contend():
+        while not busy.is_set():
+            np.multiply(noise, noise)
+
+    other = threading.Thread(target=contend)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    other.start()
+    yield
+    busy.set()
+    sys.setswitchinterval(interval)
+    other.join(timeout=10)
+    assert not other.is_alive()

@@ -104,3 +104,34 @@ def test_train_with_the_adam_helper_records_each_step_once_and_only_from_the_mai
     batches = cfg.epochs * math.ceil(len(train_q) / cfg.batch_size)
     assert [s[0] for s in rec.spans].count("train.step") == batches
     assert openers == {threading.main_thread()}
+
+
+def test_eval_with_its_helper_records_spans_only_from_the_main_thread(tmp_path, capsys):
+    import threading
+
+    from ddsi.cli import main
+
+    class Recorder(spans.Recorder):
+        # spans.Recorder is not thread-safe: note which thread opens each span
+        def _open(self, name):
+            openers.add(threading.current_thread())
+            return super()._open(name)
+
+    openers = set()
+    data, model = tmp_path / "data", tmp_path / "model"
+    assert main(["generate", "--topics", "4", "--docs-per-topic", "5", "--seed", "3", "--out", str(data)]) == 0
+    assert main(["train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+                 "--epochs", "1", "--out", str(model)]) == 0
+    rec = Recorder()
+    layers.install(rec)
+    rec.on = True
+    try:
+        assert main(["eval", "--checkpoint", str(model / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+                     "--queries", str(data / "train.tsv"), "--out", str(tmp_path / "eval")]) == 0
+    finally:
+        rec.on = False
+        rec.unwrap_all()
+    capsys.readouterr()
+    names = [s[0] for s in rec.spans]
+    assert names.count("metrics.report_from_run") == 1 and "kernels.lcs" in names
+    assert openers == {threading.main_thread()}

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ def test_eval_outputs(workspace, tmp_path):
     assert table.splitlines()[0].split()[0] == "Dataset"
     run_rows = read_run(out / "run.tsv")
     assert run_rows and all(len(r.entries) == 10 for r in run_rows)
+
+
+def test_an_error_in_the_eval_helper_is_raised_by_ddsi_eval_which_joins_it(workspace, tmp_path, failing_eval_helper):
+    _, data, run = workspace
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper set failed"):
+        main([
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--corpus", str(data / "corpus.jsonl"),
+            "--queries", str(data / "test.tsv"), "--out", str(tmp_path / "e"),
+        ])
+    assert threading.active_count() == before
+    assert not (tmp_path / "e").exists()
 
 
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"])

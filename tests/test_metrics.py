@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import importlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -338,6 +340,82 @@ def test_evaluate_deterministic(small_world):
     a = evaluate(params, test_q, corpus)
     b = evaluate(params, test_q, corpus)
     assert a == b
+
+
+def recorded_compression_ratios(monkeypatch):
+    """Route report_from_run's compression ratios through a recorder of
+    (thread name, texts) per set; return its list."""
+    calls = []
+
+    def recorded(texts):
+        calls.append((threading.current_thread().name, tuple(texts)))
+        return compression_ratio(texts)
+
+    monkeypatch.setattr(importlib.import_module("ddsi.metrics"), "_compression_ratio", recorded)
+    return calls
+
+
+def run_of_mixed_set_sizes(corpus, queries):
+    params = init_model(corpus.vocab.size, 16, corpus.num_docs, 4)
+    run = run_queries(params, queries, cutoff=10)
+    # one ranking short of the cutoff, so sets of different sizes mix
+    run.rankings[-1].entries = run.rankings[-1].entries[:3]
+    return run, [tuple(corpus.documents[docid].body for docid, _ in r.entries) for r in run.rankings]
+
+
+@pytest.mark.parametrize("count", [1, 2, None], ids=["one", "two", "many"])
+def test_report_from_run_takes_each_sets_compression_ratio_whole_and_once(monkeypatch, small_world, count):
+    _, corpus, train_q, _ = small_world
+    run, texts = run_of_mixed_set_sizes(corpus, train_q[:count])
+    calls = recorded_compression_ratios(monkeypatch)
+    report = report_from_run(run, corpus)
+    assert sorted(t for _, t in calls) == sorted(texts)
+    # the mean in set order of the ratio of each set's texts, to the bit
+    assert report.cr == float(np.mean([compression_ratio(t) for t in texts]))
+    if count == 1:
+        assert report.cr == compression_ratio(texts[0])
+
+
+def test_report_from_run_claims_each_set_once_under_thread_switches(monkeypatch, small_world, thread_switches):
+    # a set claimed by both threads or by neither shows in the calls. The
+    # caller skips homogenization and NGD, so that it claims sets from the
+    # start, and many small sets make claims often
+    _, corpus, train_q, _ = small_world
+    run = run_queries(init_model(corpus.vocab.size, 16, corpus.num_docs, 4), train_q * 4, cutoff=2)
+    texts = [tuple(corpus.documents[docid].body for docid, _ in r.entries) for r in run.rankings]
+    want = float(np.mean([compression_ratio(t) for t in texts]))
+    metrics_module = importlib.import_module("ddsi.metrics")
+    monkeypatch.setattr(metrics_module, "_homogenization_sets", lambda tok, lengths, sets: [0.0])
+    monkeypatch.setattr(metrics_module, "_ngd_sets", lambda tok, lengths, sets: np.zeros(len(sets)))
+    calls = recorded_compression_ratios(monkeypatch)
+    for _ in range(50):
+        calls.clear()
+        assert report_from_run(run, corpus).cr == want
+        assert sorted(t for _, t in calls) == sorted(texts)
+
+
+def test_an_error_in_the_eval_helper_is_raised_by_report_from_run_which_joins_it(small_world, failing_eval_helper):
+    _, corpus, _, test_q = small_world
+    run = run_queries(init_model(corpus.vocab.size, 16, corpus.num_docs, 4), test_q, cutoff=10)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper set failed"):
+        report_from_run(run, corpus)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("depth, error", [(10, EmptyDocument), (1, EmptyInput)], ids=["homogenization", "ngd"])
+def test_the_callers_own_error_wins_over_the_eval_helpers(small_world, failing_eval_helper, depth, error):
+    # a document without tokens fails homogenization in sets of two or
+    # more, and NGD in sets of one, while the helper fails its first set
+    _, corpus, _, test_q = small_world
+    run = run_queries(init_model(corpus.vocab.size, 16, corpus.num_docs, 4), test_q, cutoff=depth)
+    docs = list(corpus.documents)
+    docid = run.rankings[0].entries[0][0]
+    docs[docid] = dataclasses.replace(docs[docid], tokens=[])
+    before = threading.active_count()
+    with pytest.raises(error):
+        report_from_run(run, dataclasses.replace(corpus, documents=docs))
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import importlib
 import math
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -18,6 +17,7 @@ from ddsi.errors import (
     NonFiniteGradient,
     ShapeMismatch,
 )
+from ddsi.helper import Helper
 from ddsi.model import ModelParams, init_model
 from ddsi.rng import Xoshiro256StarStar, mix_seed
 from ddsi.train import (
@@ -26,7 +26,6 @@ from ddsi.train import (
     ADAM_BLOCK,
     ADAM_EPS,
     ADAM_SPLIT_MIN,
-    AdamHelper,
     EpochStats,
     TrainConfig,
     backward,
@@ -399,13 +398,13 @@ def test_adam_steps_with_a_helper_match_whole_vector_expressions_and_a_helperles
     params = init_model(*dims, 46)
     assert params.flat.size >= ADAM_SPLIT_MIN
     noise = np.sin(np.arange(params.flat.size) * 0.7)
-    with AdamHelper(params.flat.size) as helper:
-        # chunks of at most ADAM_BLOCK floats, equal to a float, tile the vector
-        chunks = helper.chunks
-        widths = [hi - lo for lo, hi in chunks]
-        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
-        assert chunks[-1][1] == params.flat.size
-        assert len(chunks) > 4 and max(widths) - min(widths) <= 1 and max(widths) <= ADAM_BLOCK
+    # chunks of at most ADAM_BLOCK floats, equal to a float, tile the vector
+    chunks = init_optimizer_state(params, TrainConfig()).chunks
+    widths = [hi - lo for lo, hi in chunks]
+    assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+    assert chunks[-1][1] == params.flat.size
+    assert len(chunks) > 4 and max(widths) - min(widths) <= 1 and max(widths) <= ADAM_BLOCK
+    with Helper("adam-helper") as helper:
         assert_adam_steps_match_whole_vector_expressions(
             params, TrainConfig(), lambda t: ModelParams(noise * (t % 5 - 2.5), *dims), helper)
 
@@ -424,43 +423,26 @@ def test_adam_helper_takes_the_leading_chunks_and_the_caller_the_trailing_ones(m
     params = init_model(*dims, 49)
     grads = ModelParams(np.sin(np.arange(params.flat.size) * 0.7), *dims)
     state = init_optimizer_state(params, TrainConfig())
-    with AdamHelper(params.flat.size) as helper:
+    with Helper("adam-helper") as helper:
         for _ in range(20):
             claimed.clear()
             step(params, grads, state, TrainConfig(), helper)
             front, back = claimed.get("adam-helper", []), claimed[threading.main_thread().name]
-            assert front == helper.chunks[: len(front)]
-            assert back == helper.chunks[len(front):][::-1]
+            assert front == state.chunks[: len(front)]
+            assert back == state.chunks[len(front):][::-1]
 
 
-def test_adam_helper_claims_each_chunk_once_under_thread_switches(monkeypatch):
+def test_adam_helper_claims_each_chunk_once_under_thread_switches(monkeypatch, thread_switches):
     # a chunk claimed by both threads or by neither changes m, v and params;
-    # tiny chunks, a short switch interval and a busy third thread make the
-    # claims race as often as they can
+    # tiny chunks make the claims race as often as they can
     monkeypatch.setattr(importlib.import_module("ddsi.train"), "ADAM_BLOCK", 64)
     dims = (100, 16, 30)
     params = init_model(*dims, 48)
     noise = np.cos(np.arange(params.flat.size) * 0.3)
-    busy = threading.Event()
-
-    def contend():
-        while not busy.is_set():
-            np.multiply(noise, noise)
-
-    other = threading.Thread(target=contend)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    other.start()
-    try:
-        with AdamHelper(params.flat.size) as helper:
-            assert len(helper.chunks) > 30
-            assert_adam_steps_match_whole_vector_expressions(
-                params, TrainConfig(), lambda t: ModelParams(noise * (t % 3 - 1.5), *dims), helper)
-    finally:
-        busy.set()
-        sys.setswitchinterval(interval)
-        other.join(timeout=10)
-    assert not other.is_alive()
+    assert len(init_optimizer_state(params, TrainConfig()).chunks) > 30
+    with Helper("adam-helper") as helper:
+        assert_adam_steps_match_whole_vector_expressions(
+            params, TrainConfig(), lambda t: ModelParams(noise * (t % 3 - 1.5), *dims), helper)
 
 
 @pytest.mark.parametrize("errstate", [dict(over="ignore", invalid="ignore"), dict(over="raise")])
@@ -472,7 +454,7 @@ def test_adam_helper_keeps_the_callers_floating_point_error_state(errstate):
     size = grads.flat.size
     grads.flat[: size // 2] = 1e300
     results = []
-    with AdamHelper(size) as helper:
+    with Helper("adam-helper") as helper:
         for h in (None, helper):
             params = init_model(*dims, 47)
             state = init_optimizer_state(params, TrainConfig())
@@ -496,7 +478,7 @@ def test_warm_adam_step_allocates_less_than_one_flat_vector():
     grads = ModelParams(np.linspace(-1.0, 1.0, params.flat.size), *params.dims)
     cfg = TrainConfig()
     state = init_optimizer_state(params, cfg)
-    with AdamHelper(params.flat.size) as helper:
+    with Helper("adam-helper") as helper:
         for h in (None, helper):
             step(params, grads, state, cfg, h)
             tracemalloc.start()
