@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -97,20 +98,16 @@ class Corpus:
         return len(self.documents)
 
 
-def _build_corpus(rows: list[tuple[int, str, str]]) -> Corpus:
-    """Assemble a Corpus from (docid, title, body) rows; checks density."""
-    n = len(rows)
-    by_id = {docid: (title, body) for docid, title, body in rows}
-    for want in range(n):
-        if want not in by_id:
-            raise NonDenseDocids(want)
+def _build_corpus(rows: list[tuple[int, str, str]], where: Callable[[int], str] | None = None) -> Corpus:
+    """Assemble a Corpus, in docid order, from (docid, title, body) rows whose
+    docids are 0..N-1 in any order; token ids follow docid order too.
+    where(docid), when given, names the path:line a row came from."""
     vocab = Vocab()
     documents = []
-    for docid in range(n):
-        title, body = by_id[docid]
+    for docid, title, body in sorted(rows):
         words = split_words(body)
         if not words:
-            raise EmptyDocument(docid)
+            raise EmptyDocument(docid, where(docid) if where else "")
         # ids never change once given, so these are vocab.tokenize(body)
         documents.append(Document(docid=docid, title=title, body=body, tokens=vocab.add_all(words)))
     return Corpus(documents=documents, vocab=vocab)
@@ -147,7 +144,7 @@ def load_corpus(path) -> Corpus:
     if stray is not None:
         missing = next(want for want in range(n) if want not in line_of)
         raise NonDenseDocids(missing, f"{path}:{line_of[stray]}: docid {stray} is not in 0..{n - 1}")
-    return _build_corpus(rows)
+    return _build_corpus(rows, lambda docid: f"{path}:{line_of[docid]}")
 
 
 def save_corpus(corpus: Corpus, path) -> None:

@@ -41,9 +41,9 @@ class NonDenseDocids(DdsiError):
 
 
 class EmptyDocument(DdsiError):
-    def __init__(self, docid):
+    def __init__(self, docid, where=""):
         self.docid = docid
-        super().__init__(f"document {docid} has no tokens")
+        super().__init__(f"{where + ': ' if where else ''}document {docid} has no tokens")
 
 
 class GoldOutOfRange(DdsiError):

@@ -96,21 +96,18 @@ def lane_shape(n: int) -> tuple[int, int]:
 
 # A block makes at least this many draws, doubling per block up to
 # _MAX_BLOCK: a generator asked for a few draws makes few, one asked for
-# many makes them in blocks long enough that the lanes pay. Consumers read
-# a block as Python ints _LISTED at a time, which keeps the int objects
-# alive at once, and the heap they leave behind, small.
+# many makes them in blocks long enough that the lanes pay.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1 << 14
-_LISTED = 1024
 
 
 class Xoshiro256StarStar:
     """xoshiro256** generator; state seeded via four splitmix64 outputs.
 
     Every method consumes one stream: the ints in `_buf` from `_pos` on,
-    then the uint64 outputs in `_ahead`, then those that follow state `_s`,
-    which `_raw` makes a lane-parallel block at a time. Draws, and their
-    order, are those of stepping the state once per output.
+    then the outputs that follow state `_s`, which `_raw` makes a
+    lane-parallel block at a time. Draws, and their order, are those of
+    stepping the state once per output.
     """
 
     def __init__(self, seed: int):
@@ -122,7 +119,6 @@ class Xoshiro256StarStar:
         self._s = s
         self._buf: list[int] = []
         self._pos = 0
-        self._ahead = np.empty(0, dtype=np.uint64)
         self._block = _FIRST_BLOCK
 
     def _raw(self, n: int) -> np.ndarray:
@@ -152,14 +148,11 @@ class Xoshiro256StarStar:
         return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
 
     def _refill(self, want: int) -> list[int]:
-        """Replace the spent `_buf` with the next outputs as ints: those in
-        `_ahead`, or a new block of at least `want`. The caller consumes them
-        from index 0 and stores its position in `_pos`."""
-        if not len(self._ahead):
-            self._ahead = self._raw(max(want, self._block))
-            self._block = min(2 * self._block, _MAX_BLOCK)
-        self._buf = buf = self._ahead[:_LISTED].tolist()
-        self._ahead = self._ahead[_LISTED:]
+        """Replace the spent `_buf` with a new block of at least `want`
+        outputs, listed whole as ints. The caller consumes them from index 0
+        and stores its position in `_pos`."""
+        self._buf = buf = self._raw(max(want, self._block)).tolist()
+        self._block = min(2 * self._block, _MAX_BLOCK)
         return buf
 
     def next_u64(self) -> int:
@@ -183,11 +176,9 @@ class Xoshiro256StarStar:
             return np.empty(0)
         listed = self._buf[self._pos : self._pos + n]
         self._pos += len(listed)
-        ahead = self._ahead[: n - len(listed)]
-        self._ahead = self._ahead[len(ahead) :]
-        x = self._raw(n - len(listed) - len(ahead))
-        if listed or len(ahead):
-            x = np.concatenate([np.array(listed, dtype=np.uint64), ahead, x])
+        x = self._raw(n - len(listed))
+        if listed:
+            x = np.concatenate([np.array(listed, dtype=np.uint64), x])
         return lo + (x >> np.uint64(11)).astype(np.float64) * (2.0 ** -53) * (hi - lo)
 
     def _below(self, bounds) -> list[int]:

@@ -1,16 +1,19 @@
+import argparse
 import hashlib
 import json
 import struct
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ddsi.cli import main
-from ddsi.corpus import load_corpus, load_queries
+from ddsi.cli import build_parser, main
+from ddsi.corpus import SyntheticConfig, load_corpus, load_queries
 from ddsi.metrics import read_report_tsv, read_run
 from ddsi.mmr import MmrConfig, mmr_rerank
 from ddsi.model import encode_query, init_model, load_checkpoint, save_checkpoint
+from ddsi.train import TrainConfig
 
 from oracles import oracle_mmr
 
@@ -555,6 +558,15 @@ def test_report_column_mismatch(tmp_path):
 
 def test_unknown_command_usage_error():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("command, config", [("generate", SyntheticConfig), ("train", TrainConfig), ("rerank", MmrConfig)])
+def test_each_config_field_has_exactly_one_flag(command, config):
+    # set_defaults supplies every field, so a field without a flag would
+    # silently keep its default
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in subparsers.choices[command]._actions if a.option_strings]
+    assert {f.name: dests.count(f.name) for f in fields(config)} == {f.name: 1 for f in fields(config)}
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,17 @@ def test_load_corpus_well_formed(tmp_path):
 
 
 def test_load_corpus_accepts_shuffled_lines(tmp_path):
-    path = tmp_path / "c.jsonl"
-    write_jsonl(path, [{"docid": i, "title": "", "text": f"w{i}"} for i in (2, 0, 1)])
-    corpus = load_corpus(path)
+    # token ids follow docid order, not file order: shuffled lines give the
+    # vocabulary and the tokens of the ordered file
+    texts = ["w0 shared x0", "shared w1 w0", "x2 w2 shared w1"]
+    ordered, shuffled = tmp_path / "ordered.jsonl", tmp_path / "shuffled.jsonl"
+    write_jsonl(ordered, [{"docid": i, "title": "", "text": texts[i]} for i in (0, 1, 2)])
+    write_jsonl(shuffled, [{"docid": i, "title": "", "text": texts[i]} for i in (2, 0, 1)])
+    want, corpus = load_corpus(ordered), load_corpus(shuffled)
     assert [d.docid for d in corpus.documents] == [0, 1, 2]
+    assert want.vocab.index_to_token == ["<unk>", "w0", "shared", "x0", "w1", "x2", "w2"]
+    assert corpus.vocab.index_to_token == want.vocab.index_to_token
+    assert [d.tokens for d in corpus.documents] == [d.tokens for d in want.documents]
 
 
 def test_load_corpus_non_dense(tmp_path):
@@ -124,6 +131,12 @@ def test_load_corpus_empty_document(tmp_path):
     with pytest.raises(EmptyDocument) as exc:
         load_corpus(path)
     assert exc.value.docid == 0
+    # a document of no words names its line, like every other corpus error
+    write_jsonl(path, [{"docid": 0, "title": "t", "text": "w"}, {"docid": 1, "title": "t", "text": "!!! ..."}])
+    with pytest.raises(EmptyDocument) as exc:
+        load_corpus(path)
+    assert exc.value.docid == 1
+    assert str(exc.value) == f"{path}:2: document 1 has no tokens"
 
 
 def test_load_corpus_malformed(tmp_path):

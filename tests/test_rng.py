@@ -145,11 +145,12 @@ def test_buffered_stream_equals_per_draw_oracle(seed, calls):
     assert fast.next_u64() == slow.next_u64()
 
 
-@pytest.mark.parametrize("draws", [1984, 3007, 3008, 3009])
+@pytest.mark.parametrize("draws", [1984, 3007, 3008, 3009, 32703, 32704, 32705, 49087, 49088, 49089])
 def test_fill_uniform_after_single_draws_up_to_a_listed_chunk_edge(draws):
-    # single draws make blocks of 64, 128, ..., 1024 (1,984 draws), then one
-    # of 2,048 that is listed 1,024 at a time: after 3,008 draws the listed
-    # ints are spent and 1,024 draws wait unlisted
+    # single draws make blocks of 64, 128, ..., 16,384, each listed whole:
+    # the block of 1,024 ends after 1,984 draws, 3,008 falls inside the
+    # block of 2,048, the doubling ends after 32,704 draws and the first
+    # capped block of 16,384 after 49,088
     fast, slow = Xoshiro256StarStar(99), PerDrawXoshiro(99)
     assert [fast.next_u64() for _ in range(draws)] == [slow.next_u64() for _ in range(draws)]
     assert fast.fill_uniform(1500, 0.0, 1.0).tolist() == slow.fill_uniform(1500, 0.0, 1.0).tolist()
