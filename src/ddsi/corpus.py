@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
+from collections import defaultdict
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 
 from .errors import (
     EmptyDocument,
@@ -48,19 +49,9 @@ class Vocab:
     """Bijection between tokens and [0, V); index 0 is the unknown token."""
 
     def __init__(self, words: list[str] | None = None):
-        self.index_to_token = [UNKNOWN_TOKEN]
-        self.token_to_index = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
-        self.add_all(words or [])
-
-    def add_all(self, words: list[str]) -> list[int]:
-        """The indices of words, each new word getting the next free index
-        at its first appearance."""
-        index = self.token_to_index
-        for w in dict.fromkeys(words):  # first appearances, in order
-            if w not in index:
-                index[w] = len(self.index_to_token)
-                self.index_to_token.append(w)
-        return list(map(index.__getitem__, words))
+        # each word takes the next free index at its first appearance
+        self.index_to_token = list(dict.fromkeys([UNKNOWN_TOKEN, *(words or [])]))
+        self.token_to_index = {w: i for i, w in enumerate(self.index_to_token)}
 
     @property
     def size(self) -> int:
@@ -98,19 +89,20 @@ class Corpus:
         return len(self.documents)
 
 
-def _build_corpus(rows: list[tuple[int, str, str]], where: Callable[[int], str] | None = None) -> Corpus:
-    """Assemble a Corpus, in docid order, from (docid, title, body) rows whose
-    docids are 0..N-1 in any order; token ids follow docid order too.
-    where(docid), when given, names the path:line a row came from."""
-    vocab = Vocab()
+def _build_corpus(rows: Iterable[tuple[int, str, str, list[str]]], where: Callable[[int], str] | None = None) -> Corpus:
+    """Assemble a Corpus from (docid, title, body, words) rows in docid
+    order, docids 0..N-1 and words being split_words(body). One pass over
+    the words numbers the vocabulary: a word's id is the next free one at
+    its first appearance, so each document's tokens are
+    vocab.tokenize(body). where(docid), when given, names the path:line a
+    row came from."""
+    index = defaultdict(count(UNKNOWN_INDEX + 1).__next__)
     documents = []
-    for docid, title, body in sorted(rows):
-        words = split_words(body)
+    for docid, title, body, words in rows:
         if not words:
             raise EmptyDocument(docid, where(docid) if where else "")
-        # ids never change once given, so these are vocab.tokenize(body)
-        documents.append(Document(docid=docid, title=title, body=body, tokens=vocab.add_all(words)))
-    return Corpus(documents=documents, vocab=vocab)
+        documents.append(Document(docid=docid, title=title, body=body, tokens=list(map(index.__getitem__, words))))
+    return Corpus(documents=documents, vocab=Vocab(list(index)))
 
 
 def load_corpus(path) -> Corpus:
@@ -144,7 +136,11 @@ def load_corpus(path) -> Corpus:
     if stray is not None:
         missing = next(want for want in range(n) if want not in line_of)
         raise NonDenseDocids(missing, f"{path}:{line_of[stray]}: docid {stray} is not in 0..{n - 1}")
-    return _build_corpus(rows, lambda docid: f"{path}:{line_of[docid]}")
+    # in docid order, each body split only as its row is numbered: the words
+    # of one document are alive at a time
+    rows.sort()
+    split_rows = ((docid, title, body, split_words(body)) for docid, title, body in rows)
+    return _build_corpus(split_rows, lambda docid: f"{path}:{line_of[docid]}")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -239,25 +235,25 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Corpus, list[QueryExample]
     rng = Xoshiro256StarStar(cfg.seed)
     shared_words = [f"c{j}" for j in range(cfg.shared_vocab)]
 
-    def draw_word(content_words: list[str]) -> str:
-        if shared_words and rng.random() < _SHARED_RATE:
-            return shared_words[rng.randbelow(len(shared_words))]
-        return content_words[rng.randbelow(len(content_words))]
+    def draw_words(choices: list[str]) -> list[str]:
+        # choices are the shared words, then the topic's content words
+        drawn = rng.mixture_below(cfg.doc_len, _SHARED_RATE, len(shared_words), len(choices) - len(shared_words))
+        return list(map(choices.__getitem__, drawn))
 
     num_dups = int(cfg.near_duplicate_fraction * cfg.docs_per_topic + 0.5)
     perturb_count = max(1, cfg.doc_len // 20)
     reserve = min(num_dups * perturb_count, cfg.vocab_per_topic - 1)
 
     rows = []
-    doc_words: list[list[str]] = []
     for t in range(cfg.num_topics):
         topic_words = [f"t{t}w{j}" for j in range(cfg.vocab_per_topic)]
         content_words = topic_words[: cfg.vocab_per_topic - reserve]
         marker_pool = topic_words[cfg.vocab_per_topic - reserve :]
-        proto = [draw_word(content_words) for _ in range(cfg.doc_len)]
+        choices = shared_words + content_words
+        proto = draw_words(choices)
         for i in range(cfg.docs_per_topic):
             if i < cfg.docs_per_topic - num_dups:
-                words = [draw_word(content_words) for _ in range(cfg.doc_len)]
+                words = draw_words(choices)
             else:
                 words = list(proto)
                 for pos in rng.sample_indices(cfg.doc_len, perturb_count):
@@ -269,20 +265,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Corpus, list[QueryExample]
                             replacement = content_words[rng.randbelow(len(content_words))]
                         words[pos] = replacement
             docid = t * cfg.docs_per_topic + i
-            rows.append((docid, f"topic{t:02d}-doc{i:02d}", " ".join(words)))
-            doc_words.append(words)
+            rows.append((docid, f"topic{t:02d}-doc{i:02d}", " ".join(words), words))
 
     corpus = _build_corpus(rows)
 
     train_queries: list[QueryExample] = []
     test_queries: list[QueryExample] = []
-    for docid in range(cfg.num_docs):
-        words = doc_words[docid]
+    for (docid, _, _, words), doc in zip(rows, corpus.documents):
         for j in range(cfg.queries_per_doc):
             qid = docid * cfg.queries_per_doc + j
             positions = rng.sample_indices(cfg.doc_len, cfg.query_len)
-            text = " ".join(words[pos] for pos in positions)
-            example = QueryExample(qid=qid, tokens=corpus.vocab.tokenize(text), gold_docid=docid, text=text)
+            text = " ".join([words[pos] for pos in positions])
+            # every word is a lowercase [a-z0-9] run in the vocabulary, so
+            # these are vocab.tokenize(text)
+            tokens = [doc.tokens[pos] for pos in positions]
+            example = QueryExample(qid=qid, tokens=tokens, gold_docid=docid, text=text)
             if _is_test_query(cfg.seed, qid):
                 test_queries.append(example)
             else:

@@ -59,6 +59,8 @@ def _greedy(query_unit, docids, cand_unit, cfg: MmrConfig) -> tuple[np.ndarray, 
         picked.append(docids[rows, best])
         picked_scores.append(best_score[:, 0])
         selected[rows, best] = True
+        if step == cfg.m - 1:
+            break  # no pick is left to score against this one
         sims = np.matmul(cand_unit, cand_unit[rows, best][:, :, None])[..., 0]
         max_sim = sims if step == 0 else np.maximum(max_sim, sims)
     return np.stack(picked, axis=1), np.stack(picked_scores, axis=1)

@@ -149,18 +149,20 @@ class Xoshiro256StarStar:
 
     def _refill(self, want: int) -> list[int]:
         """Replace the spent `_buf` with a new block of at least `want`
-        outputs, listed whole as ints. The caller consumes them from index 0
-        and stores its position in `_pos`."""
+        outputs, listed whole as ints, to be read from `_pos` 0. The spent
+        block is dropped first: with callers holding no reference to it, one
+        listed block is alive at a time."""
+        self._buf = []
         self._buf = buf = self._raw(max(want, self._block)).tolist()
+        self._pos = 0
         self._block = min(2 * self._block, _MAX_BLOCK)
         return buf
 
     def next_u64(self) -> int:
-        buf, pos = self._buf, self._pos
-        if pos == len(buf):
-            buf, pos = self._refill(1), 0
-        self._pos = pos + 1
-        return buf[pos]
+        if self._pos == len(self._buf):
+            self._refill(1)
+        self._pos += 1
+        return self._buf[self._pos - 1]
 
     def random(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits."""
@@ -195,11 +197,50 @@ class Xoshiro256StarStar:
                     # a bound takes at most 2 draws on average, a shuffle's
                     # 1.4, so this refill rarely falls short or overshoots
                     left = len(bounds) - len(out)
+                    del buf
                     buf, pos = self._refill(left + (left >> 1) + 16), 0
                     end = len(buf)
                 r = buf[pos] & mask
                 pos += 1
             out.append(r)
+        self._pos = pos
+        return out
+
+    def mixture_below(self, n: int, rate: float, head: int, tail: int) -> list[int]:
+        """n integers from range(head + tail), each below head with
+        probability rate: a coin lands below head when random() < rate (no
+        coin is tossed when head is 0), then randbelow(head) or head +
+        randbelow(tail) gives the integer. The draws are those of these calls,
+        read straight from the listed block."""
+        if not (head >= 0 and tail >= 1 and 0.0 <= rate <= 1.0):
+            raise ValueError("mixture_below requires head >= 0, tail >= 1 and rate in [0, 1]")
+        # random() < rate exactly when (x >> 11) < rate * 2**53, since scaling
+        # by a power of two is exact, so when x < ceil(rate * 2**53) << 11
+        cut = math.ceil(rate * 2.0**53) << 11
+        head_mask, tail_mask = (1 << head.bit_length()) - 1, (1 << tail.bit_length()) - 1
+        out = []
+        buf, pos = self._buf, self._pos
+        end = len(buf)
+        for left in range(n, 0, -1):
+            bound, mask, base = tail, tail_mask, head
+            if head:
+                if pos == end:
+                    # a coin and at most 2 draws per bound on average
+                    del buf
+                    buf, pos = self._refill(3 * left + 16), 0
+                    end = len(buf)
+                if buf[pos] < cut:
+                    bound, mask, base = head, head_mask, 0
+                pos += 1
+            r = bound
+            while r >= bound:
+                if pos == end:
+                    del buf
+                    buf, pos = self._refill(3 * left + 16), 0
+                    end = len(buf)
+                r = buf[pos] & mask
+                pos += 1
+            out.append(base + r)
         self._pos = pos
         return out
 
@@ -219,9 +260,6 @@ class Xoshiro256StarStar:
         if k > n:
             raise ValueError("sample_indices requires k <= n")
         pool = list(range(n))
-        out = []
         for i, r in enumerate(self._below(range(n, n - k, -1))):
-            j = i + r
-            pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        return out
+            pool[i], pool[i + r] = pool[i + r], pool[i]
+        return pool[:k]  # no later swap reaches back below i

@@ -334,6 +334,20 @@ def test_generate_query_tokens_come_from_gold_doc():
         assert set(q.tokens) <= doc_tokens
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"doc_len": 160, "vocab_per_topic": 120}, {"shared_vocab": 0}, {"near_duplicate_fraction": 1.0}],
+)
+def test_generate_tokens_equal_tokenize_of_the_text(overrides):
+    # generate takes these tokens from the words it drew, not from the texts
+    # it writes; a command that reads the files tokenizes the texts
+    corpus, train_q, test_q = generate_synthetic(SyntheticConfig(**overrides))
+    for doc in corpus.documents:
+        assert doc.tokens == corpus.vocab.tokenize(doc.body)
+    for q in train_q + test_q:
+        assert q.tokens == corpus.vocab.tokenize(q.text)
+
+
 def test_generate_rejects_bad_config():
     with pytest.raises(InvalidConfig):
         generate_synthetic(SyntheticConfig(near_duplicate_fraction=1.5))

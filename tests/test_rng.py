@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ddsi.rng import Xoshiro256StarStar, lane_shape, mix_seed, splitmix64_next
 
@@ -58,6 +58,9 @@ class PerDrawXoshiro:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
+    def mixture_below(self, n, rate, head, tail):
+        return [self.randbelow(head) if head and self.random() < rate else head + self.randbelow(tail) for _ in range(n)]
+
     def sample_indices(self, n, k):
         pool = list(range(n))
         out = []
@@ -107,6 +110,8 @@ def test_stream_matches_independent_build(seed):
 
 
 _FLOATS = st.floats(min_value=-1e6, max_value=1e6)
+# a bound of 1 never rejects; one just past a power of two rejects most often
+_BOUNDS = st.one_of(st.sampled_from([1, 2, 3, 5, 17, 65, 129, 2**32 + 1]), st.integers(min_value=1, max_value=300))
 _CALLS = st.one_of(
     st.tuples(st.sampled_from(["next_u64", "random"]), st.integers(min_value=1, max_value=300)),
     st.tuples(st.just("uniform"), _FLOATS, _FLOATS),
@@ -116,6 +121,13 @@ _CALLS = st.one_of(
         lambda n: st.tuples(st.just("sample_indices"), st.just(n), st.integers(min_value=0, max_value=n))
     ),
     st.tuples(st.just("fill_uniform"), st.integers(min_value=0, max_value=5000), _FLOATS, _FLOATS),
+    st.tuples(
+        st.just("mixture_below"),
+        st.integers(min_value=0, max_value=2000),
+        st.one_of(st.sampled_from([0.0, 0.2, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+        st.one_of(st.just(0), _BOUNDS),
+        _BOUNDS,
+    ),
 )
 
 
@@ -138,6 +150,18 @@ def _consume(rng, call):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.lists(_CALLS, max_size=12))
+# rate 0 and 1, no coin (head 0), bounds of 1 and just past a power of two,
+# and runs long enough to cross blocks
+@example(
+    3,
+    [
+        ("mixture_below", 700, 0.0, 65, 1),
+        ("mixture_below", 700, 1.0, 1, 129),
+        ("mixture_below", 1500, 0.2, 0, 33),
+        ("mixture_below", 4000, 0.2, 100, 65),
+        ("next_u64", 5),
+    ],
+)
 def test_buffered_stream_equals_per_draw_oracle(seed, calls):
     fast, slow = Xoshiro256StarStar(seed), PerDrawXoshiro(seed)
     for call in calls:
@@ -207,6 +231,19 @@ def test_randbelow_in_range(n, seed):
 def test_randbelow_rejects_nonpositive():
     with pytest.raises(ValueError):
         Xoshiro256StarStar(0).randbelow(0)
+
+
+@pytest.mark.parametrize("rate, head, tail", [(0.5, -1, 5), (0.5, 5, 0), (-0.1, 5, 5), (1.5, 5, 5), (float("nan"), 5, 5)])
+def test_mixture_below_rejects_bad_arguments(rate, head, tail):
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(0).mixture_below(4, rate, head, tail)
+
+
+def test_mixture_below_keeps_to_its_parts():
+    rng = Xoshiro256StarStar(11)
+    assert set(rng.mixture_below(400, 1.0, 3, 5)) == {0, 1, 2}
+    assert set(rng.mixture_below(400, 0.0, 3, 5)) == {3, 4, 5, 6, 7}
+    assert set(rng.mixture_below(400, 0.5, 0, 5)) == {0, 1, 2, 3, 4}
 
 
 @given(st.lists(st.integers(), max_size=50), st.integers(min_value=0, max_value=2**32))
