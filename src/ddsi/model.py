@@ -181,11 +181,17 @@ def cosine(u, v) -> float:
 
 
 def save_checkpoint(p: ModelParams, path) -> None:
-    """Binary checkpoint: magic, version, dims, then the flat vector as f32 LE."""
+    """Binary checkpoint: magic, version, dims, then the flat vector as f32 LE.
+    A parameter that float32 cannot hold is refused before a byte is written,
+    as load_checkpoint would refuse the infinity it casts to."""
     header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, *p.dims)
+    with np.errstate(over="ignore"):
+        values = p.flat.astype("<f4")
+    if not np.isfinite(values).all():
+        raise CheckpointVersionMismatch(f"{path}: a parameter value is not finite in float32")
     with atomic_open(path, "wb") as f:
         f.write(header)
-        f.write(p.flat.astype("<f4").tobytes())
+        f.write(values.tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

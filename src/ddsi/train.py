@@ -131,16 +131,22 @@ def _mix(ce: float, div: float, alpha: float) -> float:
 
 def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.ndarray, cfg: TrainConfig,
               grads: ModelParams) -> LossBreakdown:
-    """One batch of checked, packed queries through kernels.train_pass; the
-    gradients are added into grads, which must be zeroed."""
+    """The one batch step: one batch of checked, packed queries through
+    kernels.train_pass, with grads zeroed first and left holding the batch's
+    gradients; raises NonFiniteGradient if the loss or a gradient is not finite."""
+    grads.flat.fill(0.0)
     ce_sum, div_sum, pair_evals, topk = kernels.train_pass(
         *p.arrays(), tok, lengths, golds, cfg.k, cfg.alpha, grads,
     )
     _count_pairs(int(pair_evals))
     bsz = tok.shape[0]
     ce, div = ce_sum / bsz, div_sum / bsz
-    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=_mix(ce, div, cfg.alpha),
-                         selected_topk=() if cfg.alpha == 1.0 else topk)
+    total = _mix(ce, div, cfg.alpha)
+    if not math.isfinite(total):
+        raise NonFiniteGradient("loss is not finite")
+    if not np.isfinite(grads.flat).all():
+        raise NonFiniteGradient("gradient is not finite")
+    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=topk)
 
 
 def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfig):
@@ -150,20 +156,11 @@ def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfi
     return pack_query_set(p, examples)
 
 
-def _check_finite(breakdown: LossBreakdown, grads: ModelParams) -> None:
-    if not math.isfinite(breakdown.total):
-        raise NonFiniteGradient("loss is not finite")
-    if not np.isfinite(grads.flat).all():
-        raise NonFiniteGradient("gradient is not finite")
-
-
 def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:
     """Loss and its gradients, laid out as parameters."""
     cfg.validate()
     grads = ModelParams.zeros(*p.dims)
-    breakdown = _run_pass(p, *_pack_examples(p, batch, cfg), cfg, grads)
-    _check_finite(breakdown, grads)
-    return breakdown, grads
+    return _run_pass(p, *_pack_examples(p, batch, cfg), cfg, grads), grads
 
 
 @dataclass
@@ -279,10 +276,8 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
                 lengths = lengths_all[chunk]
                 # the same matrix pack_queries builds for this batch alone
                 tok = tok_all[chunk, : lengths.max()]
-                grads.flat.fill(0.0)
-                breakdown = _run_pass(params, tok, lengths, golds_all[chunk], cfg, grads)
                 try:
-                    _check_finite(breakdown, grads)
+                    breakdown = _run_pass(params, tok, lengths, golds_all[chunk], cfg, grads)
                 except NonFiniteGradient as e:
                     raise NonFiniteGradient(f"epoch {epoch} batch {start // cfg.batch_size}: {e}") from e
                 step(params, grads, state, cfg, helper)

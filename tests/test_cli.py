@@ -1,9 +1,11 @@
 import argparse
 import hashlib
 import json
+import shlex
 import struct
 import threading
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,18 @@ def test_train_rejects_non_finite_lr(workspace, tmp_path, lr):
     ])
     assert code == 2
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("optimizer, lr", [("adam", "1e39"), ("adam", "1e100"), ("sgd", "1e40")])
+def test_train_refuses_parameters_float32_cannot_hold(workspace, tmp_path, optimizer, lr):
+    # the parameters stay finite in float64 but overflow in the float32 checkpoint
+    _, data, _ = workspace
+    code = main([
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+        "--k", "4", "--epochs", "1", "--optimizer", optimizer, "--lr", lr, "--out", str(tmp_path / "m"),
+    ])
+    assert code == 1
+    assert not (tmp_path / "m" / "checkpoint.bin").exists()
 
 
 def test_train_missing_corpus(tmp_path):
@@ -567,6 +581,17 @@ def test_each_config_field_has_exactly_one_flag(command, config):
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     dests = [a.dest for a in subparsers.choices[command]._actions if a.option_strings]
     assert {f.name: dests.count(f.name) for f in fields(config)} == {f.name: 1 for f in fields(config)}
+
+
+def test_readme_walkthrough_commands_parse():
+    # every `ddsi ...` line of the README's CLI walkthrough, \-continued lines joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").replace("$a", "1.0").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.strip().startswith("ddsi ")]
+    assert [argv[0] for argv in commands] == ["generate", "train", "eval", "report", "rerank"]
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

@@ -355,3 +355,14 @@ def test_encode_unpadded_batch_equals_padded_bytes(seed):
     for got, want in zip(kernels.encode(params.embed, params.hidden_w, params.hidden_b, tok, lengths),
                          kernels.encode(params.embed, params.hidden_w, params.hidden_b, padded, lengths)):
         assert got.tobytes() == want.tobytes()
+    # a ragged batch: each row pools to the bytes of its query encoded alone,
+    # whatever value fills the cells past its length
+    lengths = rng.integers(1, 9, size=6)
+    tok = rng.integers(0, 15, size=(6, 8))
+    for pad in (-1, 0, 14):
+        ragged = np.where(np.arange(8)[None, :] < lengths[:, None], tok, pad)
+        pooled, _ = kernels.encode(params.embed, params.hidden_w, params.hidden_b, ragged, lengths)
+        for row, n in enumerate(lengths.tolist()):
+            alone, _ = kernels.encode(params.embed, params.hidden_w, params.hidden_b, tok[row : row + 1, :n],
+                                      np.array([n]))
+            assert pooled[row].tobytes() == alone[0].tobytes()

@@ -273,16 +273,20 @@ def test_checkpoint_bytes_are_header_then_arrays_in_canonical_order(tmp_path):
 
 
 def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path):
-    class Unconvertible:
-        def astype(self, dtype):
+    class NoBytes(np.ndarray):
+        def tobytes(self, order="C"):
             raise RuntimeError("no body")
+
+    class Unwritable:
+        def astype(self, dtype):
+            return np.zeros(p.flat.size, dtype=dtype).view(NoBytes)
 
     path = tmp_path / "checkpoint.bin"
     p = init_model(6, 3, 4, 0)
     save_checkpoint(p, path)
     old = path.read_bytes()
     broken = ModelParams.zeros(*p.dims)
-    broken.flat = Unconvertible()  # the header is written before the body fails
+    broken.flat = Unwritable()  # the header is written before the body fails
     with pytest.raises(RuntimeError):
         save_checkpoint(broken, path)
     assert path.read_bytes() == old
@@ -293,11 +297,25 @@ def test_checkpoint_write_that_fails_midway_keeps_the_old_file(tmp_path):
 @pytest.mark.parametrize("index", [0, 17, -1])
 def test_checkpoint_rejects_non_finite(tmp_path, value, index):
     p = init_model(6, 3, 4, 0)
-    p.flat[index] = value
     path = tmp_path / "bad.bin"
     save_checkpoint(p, path)
+    # save_checkpoint refuses such a value, so it is written into the file by hand
+    blob = bytearray(path.read_bytes())
+    offset = 20 + 4 * (index % p.flat.size)
+    blob[offset : offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointVersionMismatch, match="non-finite"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+def test_save_checkpoint_refuses_a_value_float32_cannot_hold(tmp_path, value):
+    # 1e39 is finite in float64 and overflows to an infinity in float32
+    p = init_model(6, 3, 4, 0)
+    p.flat[17] = value
+    with pytest.raises(CheckpointVersionMismatch, match="float32"):
+        save_checkpoint(p, tmp_path / "checkpoint.bin")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_same_params_same_bytes(tmp_path):

@@ -495,17 +495,24 @@ def test_warm_adam_step_allocates_less_than_one_flat_vector():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha, optimizer, split", [
-    pytest.param(1.0, "adam", False, id="1.0-adam"),
-    pytest.param(0.5, "adam", False, id="0.5-adam"),
-    pytest.param(0.5, "sgd", False, id="0.5-sgd"),
-    pytest.param(1.0, "adam", True, id="1.0-adam-split"),
-    pytest.param(0.5, "adam", True, id="0.5-adam-split"),
+@pytest.mark.parametrize("alpha, optimizer, split, ragged", [
+    pytest.param(1.0, "adam", False, False, id="1.0-adam"),
+    pytest.param(0.5, "adam", False, False, id="0.5-adam"),
+    pytest.param(0.5, "sgd", False, False, id="0.5-sgd"),
+    pytest.param(1.0, "adam", True, False, id="1.0-adam-split"),
+    pytest.param(0.5, "adam", True, False, id="0.5-adam-split"),
+    pytest.param(1.0, "adam", False, True, id="1.0-adam-ragged"),
+    pytest.param(0.5, "adam", False, True, id="0.5-adam-ragged"),
+    pytest.param(0.5, "sgd", False, True, id="0.5-sgd-ragged"),
 ])
-def test_train_equals_backward_and_step_per_batch(small_world, request, alpha, optimizer, split):
-    # with split, train() steps with a helper and the loop below without one
+def test_train_equals_backward_and_step_per_batch(small_world, request, alpha, optimizer, split, ragged):
+    # with split, train() steps with a helper and the loop below without one;
+    # ragged queries of 1 to 12 tokens make padded batches
     threads = request.getfixturevalue("adam_split") if split else []
     _, corpus, train_q, _ = small_world
+    if ragged:
+        train_q = [QueryExample(q.qid, q.tokens[: 1 + i % 12], q.gold_docid) for i, q in enumerate(train_q)]
+        assert len({len(q.tokens) for q in train_q}) == 12
     cfg = TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3, optimizer=optimizer, lr=0.01)
     assert len(train_q) % cfg.batch_size, "the last batch should be a short one"
     got, history = train(corpus, train_q, cfg)
