@@ -192,40 +192,12 @@ def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray, src: np.ndar
     """out[ids[i]] += rows[src[i]] for each i in order, bit for bit as np.add.at
     adds; src defaults to 0, 1, 2, ...
 
-    The occurrences are sorted stably by id and added in layers: layer k
-    holds the k-th occurrence of each id, so the ids of a layer are
-    distinct and one add gives each element its k-th term. The target rows
-    are gathered once, ordered by falling count, so that the ids of each
-    layer are a prefix of them and each layer is one slice add; there are
-    as many layers as the most frequent id has occurrences.
+    One np.add.at over the flat view of out. out must be C-contiguous, as
+    the views of ModelParams.flat are; reshape copies any other array.
     """
-    n = ids.shape[0]
-    if n == 0:
-        return
-    src = np.arange(n) if src is None else src
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=first[1:])
-    group = np.cumsum(first) - 1  # which distinct id each occurrence is
-    rank = np.arange(n) - np.flatnonzero(first)[group]  # its earlier occurrences
-    counts = np.bincount(group)
-    by_count = np.argsort(-counts, kind="stable")
-    slot = np.empty_like(by_count)
-    slot[by_count] = np.arange(by_count.shape[0])
-    sizes = np.bincount(rank)
-    # an occurrence's place in the stack: its layer's start plus its id's slot
-    placed = np.empty_like(order)
-    placed[np.cumsum(sizes)[rank] - sizes[rank] + slot[group]] = order
-    stack = rows[src[placed]]
-    targets = sorted_ids[first][by_count]
-    acc = out[targets]
-    lo = 0
-    for size in sizes.tolist():
-        acc[:size] += stack[lo : lo + size]
-        lo += size
-    out[targets] = acc
+    d = out.shape[1]
+    np.add.at(out.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(),
+              (rows[: ids.shape[0]] if src is None else rows[src]).ravel())
 
 
 def pair_cosines(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -180,15 +180,22 @@ def cosine(u, v) -> float:
     return float(kernels.unit_rows(u) @ kernels.unit_rows(v))
 
 
-def save_checkpoint(p: ModelParams, path) -> None:
-    """Binary checkpoint: magic, version, dims, then the flat vector as f32 LE.
-    A parameter that float32 cannot hold is refused before a byte is written,
-    as load_checkpoint would refuse the infinity it casts to."""
-    header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, *p.dims)
+def float32_values(p: ModelParams, where) -> np.ndarray:
+    """The flat vector as a checkpoint stores it, f32 LE. A parameter that
+    float32 cannot hold is refused, as load_checkpoint would refuse the
+    infinity it casts to; the error starts with `where`."""
     with np.errstate(over="ignore"):
         values = p.flat.astype("<f4")
     if not np.isfinite(values).all():
-        raise CheckpointVersionMismatch(f"{path}: a parameter value is not finite in float32")
+        raise CheckpointVersionMismatch(f"{where}: a parameter value is not finite in float32")
+    return values
+
+
+def save_checkpoint(p: ModelParams, path) -> None:
+    """Binary checkpoint: magic, version, dims, then float32_values; refused
+    before a byte is written if float32 cannot hold a parameter."""
+    header = CHECKPOINT_MAGIC + struct.pack("<IIII", CHECKPOINT_VERSION, *p.dims)
+    values = float32_values(p, path)
     with atomic_open(path, "wb") as f:
         f.write(header)
         f.write(values.tobytes())

@@ -26,7 +26,7 @@ from .errors import InvalidConfig, NonFiniteGradient, ShapeMismatch
 from .fileio import atomic_open
 from .helper import Helper
 # batch_logits stays importable only because perfbench/layers.py wraps it by name
-from .model import ModelParams, batch_logits, init_model, pack_query_set, score_blocks  # noqa: F401
+from .model import ModelParams, batch_logits, float32_values, init_model, pack_query_set, score_blocks  # noqa: F401
 from .rng import Xoshiro256StarStar, mix_seed
 
 ADAM_BETA1 = 0.9
@@ -283,6 +283,8 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
                 step(params, grads, state, cfg, helper)
                 ce_sum += breakdown.ce * len(chunk)
                 div_sum += breakdown.diversity * len(chunk)
+            # parameters a checkpoint cannot hold stop the run here, not after the last epoch
+            float32_values(params, f"epoch {epoch}")
             ce, div = ce_sum / num, div_sum / num
             hits1 = _train_hits1(params, tok_all, lengths_all, golds_all)
             history.append(EpochStats(epoch=epoch, ce=ce, diversity=div, total=_mix(ce, div, cfg.alpha),

@@ -182,15 +182,18 @@ def test_train_rejects_non_finite_lr(workspace, tmp_path, lr):
 
 
 @pytest.mark.parametrize("optimizer, lr", [("adam", "1e39"), ("adam", "1e100"), ("sgd", "1e40")])
-def test_train_refuses_parameters_float32_cannot_hold(workspace, tmp_path, optimizer, lr):
-    # the parameters stay finite in float64 but overflow in the float32 checkpoint
+def test_train_refuses_parameters_float32_cannot_hold(workspace, tmp_path, capsys, optimizer, lr):
+    # the parameters stay finite in float64 but overflow in the float32 checkpoint;
+    # train stops at the end of the first epoch, before the --out directory is made
     _, data, _ = workspace
-    code = main([
-        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
-        "--k", "4", "--epochs", "1", "--optimizer", optimizer, "--lr", lr, "--out", str(tmp_path / "m"),
-    ])
-    assert code == 1
-    assert not (tmp_path / "m" / "checkpoint.bin").exists()
+    for epochs in ("1", "20"):
+        code = main([
+            "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+            "--k", "4", "--epochs", epochs, "--optimizer", optimizer, "--lr", lr, "--out", str(tmp_path / "m"),
+        ])
+        assert code == 1
+        assert "ddsi train: epoch 0: a parameter value is not finite in float32" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 def test_train_missing_corpus(tmp_path):

@@ -71,6 +71,11 @@ def stable_instances(count, alphas, gap=1e-3, start_seed=100):
     return out
 
 
+def unk_batch(batch):
+    """The batch with every token <unk> (id 0), as for queries of unknown words only."""
+    return [QueryExample(q.qid, [0] * len(q.tokens), q.gold_docid) for q in batch]
+
+
 def grads_close(analytic, numeric, rel=1e-4, floor=1e-7):
     worst = 0.0
     for a_arr, f_arr in zip(analytic, numeric):
@@ -200,8 +205,12 @@ def test_total_loss_matches_oracle():
 
 
 def test_backward_matches_finite_differences():
-    # the full 20-instance sweep lives in the acceptance suite
-    for params, batch, cfg in stable_instances(6, [0.0, 0.25, 0.5, 0.75, 1.0]):
+    # the full 20-instance sweep lives in the acceptance suite; the last
+    # instance adds every token's embedding gradient into the one <unk> row
+    params, batch, cfg = make_instance(100, 0.5)
+    unk = (params, unk_batch(batch), cfg)
+    assert selection_gap(list(params.arrays()), [(q.tokens, q.gold_docid) for q in unk[1]], K) >= 1e-3
+    for params, batch, cfg in stable_instances(6, [0.0, 0.25, 0.5, 0.75, 1.0]) + [unk]:
         _, grads = backward(params, batch, cfg)
         pairs = [(q.tokens, q.gold_docid) for q in batch]
         numeric, _ = finite_difference_grads(list(params.arrays()), pairs, cfg.alpha, K)
@@ -495,24 +504,29 @@ def test_warm_adam_step_allocates_less_than_one_flat_vector():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha, optimizer, split, ragged", [
-    pytest.param(1.0, "adam", False, False, id="1.0-adam"),
-    pytest.param(0.5, "adam", False, False, id="0.5-adam"),
-    pytest.param(0.5, "sgd", False, False, id="0.5-sgd"),
-    pytest.param(1.0, "adam", True, False, id="1.0-adam-split"),
-    pytest.param(0.5, "adam", True, False, id="0.5-adam-split"),
-    pytest.param(1.0, "adam", False, True, id="1.0-adam-ragged"),
-    pytest.param(0.5, "adam", False, True, id="0.5-adam-ragged"),
-    pytest.param(0.5, "sgd", False, True, id="0.5-sgd-ragged"),
+@pytest.mark.parametrize("alpha, optimizer, split, queries", [
+    pytest.param(1.0, "adam", False, "as-is", id="1.0-adam"),
+    pytest.param(0.5, "adam", False, "as-is", id="0.5-adam"),
+    pytest.param(0.5, "sgd", False, "as-is", id="0.5-sgd"),
+    pytest.param(1.0, "adam", True, "as-is", id="1.0-adam-split"),
+    pytest.param(0.5, "adam", True, "as-is", id="0.5-adam-split"),
+    pytest.param(1.0, "adam", False, "ragged", id="1.0-adam-ragged"),
+    pytest.param(0.5, "adam", False, "ragged", id="0.5-adam-ragged"),
+    pytest.param(0.5, "sgd", False, "ragged", id="0.5-sgd-ragged"),
+    pytest.param(1.0, "adam", False, "unk", id="1.0-adam-unk"),
+    pytest.param(0.5, "adam", False, "unk", id="0.5-adam-unk"),
 ])
-def test_train_equals_backward_and_step_per_batch(small_world, request, alpha, optimizer, split, ragged):
+def test_train_equals_backward_and_step_per_batch(small_world, request, alpha, optimizer, split, queries):
     # with split, train() steps with a helper and the loop below without one;
-    # ragged queries of 1 to 12 tokens make padded batches
+    # ragged queries of 1 to 12 tokens make padded batches, and unk queries
+    # send every token's embedding gradient to the one <unk> row
     threads = request.getfixturevalue("adam_split") if split else []
     _, corpus, train_q, _ = small_world
-    if ragged:
+    if queries == "ragged":
         train_q = [QueryExample(q.qid, q.tokens[: 1 + i % 12], q.gold_docid) for i, q in enumerate(train_q)]
         assert len({len(q.tokens) for q in train_q}) == 12
+    elif queries == "unk":
+        train_q = unk_batch(train_q)
     cfg = TrainConfig(alpha=alpha, k=5, epochs=2, batch_size=16, seed=3, optimizer=optimizer, lr=0.01)
     assert len(train_q) % cfg.batch_size, "the last batch should be a short one"
     got, history = train(corpus, train_q, cfg)
