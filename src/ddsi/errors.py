@@ -22,8 +22,8 @@ class InvalidDims(ConfigError):
     pass
 
 
-class KOutOfRange(ConfigError):
-    pass
+class KOutOfRange(InvalidConfig):
+    """A K or retrieval depth outside [1, N]; an InvalidConfig, so exit code 2."""
 
 
 # corpus / query files

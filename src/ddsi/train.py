@@ -149,18 +149,11 @@ def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.nd
     return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=topk)
 
 
-def _pack_examples(p: ModelParams, examples: list[QueryExample], cfg: TrainConfig):
-    """Checked (tok, lengths, golds) of the examples, as train_pass takes them."""
-    if cfg.k > p.num_docs:
-        raise InvalidConfig(f"K={cfg.k} exceeds corpus size {p.num_docs}")
-    return pack_query_set(p, examples)
-
-
 def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:
     """Loss and its gradients, laid out as parameters."""
     cfg.validate()
     grads = ModelParams.zeros(*p.dims)
-    return _run_pass(p, *_pack_examples(p, batch, cfg), cfg, grads), grads
+    return _run_pass(p, *pack_query_set(p, batch), cfg, grads), grads
 
 
 @dataclass
@@ -258,7 +251,7 @@ def train(corpus: Corpus, queries: list[QueryExample], cfg: TrainConfig) -> tupl
     cfg.validate()
     params = init_model(corpus.vocab.size, cfg.dim, corpus.num_docs, cfg.seed)
     state = init_optimizer_state(params, cfg)
-    tok_all, lengths_all, golds_all = _pack_examples(params, queries, cfg)
+    tok_all, lengths_all, golds_all = pack_query_set(params, queries)
     grads = ModelParams.zeros(*params.dims)
 
     history: list[EpochStats] = []

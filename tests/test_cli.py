@@ -130,6 +130,19 @@ def test_train_rejects_k_one(workspace, tmp_path):
     assert code == 2
 
 
+def test_train_bounds_k_by_n_only_below_alpha_one(workspace, tmp_path, capsys):
+    _, data, _ = workspace
+    args = [
+        "train", "--corpus", str(data / "corpus.jsonl"), "--queries", str(data / "train.tsv"),
+        "--k", "15", "--epochs", "1", "--batch-size", "8",
+    ]
+    assert main([*args, "--alpha", "1", "--out", str(tmp_path / "a1")]) == 0
+    out = tmp_path / "a05"
+    assert main([*args, "--alpha", "0.5", "--out", str(out)]) == 2
+    assert "K=15 outside [1, 12]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_deterministic(workspace, tmp_path):
     _, data, _ = workspace
     args = [

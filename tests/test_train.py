@@ -583,14 +583,25 @@ def test_train_rejects_bad_configs(small_world):
         train(corpus, train_q, TrainConfig(k=1))
     with pytest.raises(InvalidConfig):
         train(corpus, train_q, TrainConfig(alpha=1.5))
+    # K is read only by the diversity term, so only alpha < 1 bounds it by N
     with pytest.raises(InvalidConfig):
-        train(corpus, train_q, TrainConfig(k=corpus.num_docs + 1))
+        train(corpus, train_q, TrainConfig(alpha=0.5, k=corpus.num_docs + 1))
     # an empty query set is not a configuration but missing input, as in eval and rerank
     with pytest.raises(EmptyRun, match="no queries"):
         train(corpus, [], TrainConfig())
     for lr in (math.nan, math.inf):
         with pytest.raises(InvalidConfig):
             train(corpus, train_q, TrainConfig(lr=lr))
+
+
+def test_alpha_one_trains_alike_with_any_k(small_world):
+    # alpha == 1 never takes a top-K, so a K above N trains as K = 2 does
+    _, corpus, train_q, _ = small_world
+    runs = [train(corpus, train_q, TrainConfig(alpha=1.0, k=k, epochs=2, batch_size=16, seed=3))
+            for k in (2, corpus.num_docs + 3)]
+    (p_small, h_small), (p_big, h_big) = runs
+    assert p_small.flat.tobytes() == p_big.flat.tobytes()
+    assert h_small == h_big
 
 
 def test_train_nonfinite_diagnostic_names_epoch(small_world):
