@@ -27,8 +27,9 @@ from .fileio import atomic_open, int_cell, read_records
 from .rng import Xoshiro256StarStar, mix_seed
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# on ASCII text _WORD_RE's words are the runs of [a-z0-9] once lowercased
-_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not (c.isdigit() or "a" <= c <= "z")})
+# on ASCII text _WORD_RE's words are the runs of [a-z0-9] once lowercased:
+# this table lowercases each ASCII letter and digit, and makes every other byte a space
+_ASCII_WORDS = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 0x20 for c in range(256))
 
 UNKNOWN_TOKEN = "<unk>"
 UNKNOWN_INDEX = 0
@@ -39,10 +40,9 @@ _SHARED_RATE = 0.2
 
 def split_words(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
-    text = text.lower()
     if text.isascii():
-        return text.translate(_ASCII_SEPARATORS).split()
-    return _WORD_RE.findall(text)
+        return text.encode("ascii").translate(_ASCII_WORDS).decode("ascii").split()
+    return _WORD_RE.findall(text.lower())
 
 
 class Vocab:

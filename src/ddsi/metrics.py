@@ -61,42 +61,64 @@ def _gold_ranks(run: EvalRun) -> list[int]:
     return ranks
 
 
+def _hits(ranks: list[int], k: int, num_queries: int) -> float:
+    return sum(0 < rank <= k for rank in ranks) / num_queries
+
+
+def _mrr(ranks: list[int], k: int, num_queries: int) -> float:
+    total = 0.0
+    # summed in query order, as np.sum's pairwise sum would move the last bits
+    for rank in ranks:
+        if 0 < rank <= k:
+            total += 1.0 / rank
+    return total / num_queries
+
+
 def hits_at_k(run: EvalRun, k: int) -> float:
-    return sum(0 < rank <= k for rank in _gold_ranks(run)) / len(run.rankings)
+    return _hits(_gold_ranks(run), k, len(run.rankings))
 
 
 def mrr_at_k(run: EvalRun, k: int = 10) -> float:
-    total = 0.0
-    # summed in query order, as np.sum's pairwise sum would move the last bits
-    for rank in _gold_ranks(run):
-        if 0 < rank <= k:
-            total += 1.0 / rank
-    return total / len(run.rankings)
+    return _mrr(_gold_ranks(run), k, len(run.rankings))
 
 
 def _homogenization_sets(tok, lengths, sets) -> list[float]:
     """Mean pairwise ROUGE-L of each set of two or more rows, in set order.
 
-    sets holds arrays of row indices into the packed (tok, lengths); the
-    pairs of every set go to one LCS kernel call.
+    sets holds arrays of row indices into the packed (tok, lengths). The
+    sets of one size share one table of pair indices, which keeps each
+    set's pairs in np.triu_indices order, and the pairs of every set go
+    to one LCS kernel call.
     """
-    firsts, seconds = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    for rows in sets:
-        if len(rows) >= 2:
-            i, j = np.triu_indices(len(rows), k=1)
-            firsts.append(rows[i])
-            seconds.append(rows[j])
-    pa, pb = np.concatenate(firsts), np.concatenate(seconds)
-    if (lengths[pa] == 0).any() or (lengths[pb] == 0).any():
+    sizes = np.array([len(rows) for rows in sets], dtype=np.int64)
+    members = np.concatenate(sets)
+    # a set of two or more rows pairs each of them
+    if (lengths[members[np.repeat(sizes >= 2, sizes)]] == 0).any():
         raise EmptyDocument("<homogenization input>")
+    starts = np.cumsum(sizes) - sizes
+    multi = np.flatnonzero(sizes >= 2)
+    # the sets of each size m, in set order (np.unique without return_inverse
+    # would import numpy.ma, 0.5 MB of RSS); their pairs fill pa and pb from
+    # bounds[k] on, one set's after another's
+    by_size = [(m, multi[sizes[multi] == m]) for m in sorted(set(sizes[multi].tolist()))]
+    bounds = np.cumsum([0] + [len(which) * (m * (m - 1) // 2) for m, which in by_size]).tolist()
+    pa, pb = np.empty(bounds[-1], np.int64), np.empty(bounds[-1], np.int64)
+    for (m, which), lo, hi in zip(by_size, bounds[:-1], bounds[1:]):
+        i, j = np.triu_indices(m, k=1)
+        rows = members[starts[which][:, None] + np.arange(m)]  # one set a row
+        pa[lo:hi] = rows[:, i].ravel()
+        pb[lo:hi] = rows[:, j].ravel()
     # ROUGE-L F1 of each pair, 2pr/(p+r) with p = lcs/len_b and r = lcs/len_a; 0 where lcs is 0
     lcs = kernels.lcs_lengths_pairs(tok, lengths, pa, pb)
     precision = lcs / lengths[pb]
     recall = lcs / lengths[pa]
     f1 = np.zeros(lcs.shape, dtype=np.float64)
     np.divide(2.0 * precision * recall, precision + recall, out=f1, where=lcs > 0)
-    bounds = np.cumsum([len(rows) for rows in firsts]).tolist()
-    return [float(np.mean(f1[lo:hi])) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # each row's mean is np.mean of that set's pairs alone, to the bit
+    means = np.empty(len(sets))
+    for (m, which), lo, hi in zip(by_size, bounds[:-1], bounds[1:]):
+        means[which] = f1[lo:hi].reshape(len(which), -1).mean(axis=1)
+    return means[multi].tolist()
 
 
 def homogenization(docs) -> float:
@@ -113,8 +135,11 @@ def rouge_l(a, b) -> float:
     return homogenization([a, b])
 
 
-# _ngd_sets counts distinct n-grams for groups of sets of about this many
-# token cells, so that its sort works on a bounded slice of an eval's sets
+# _ngd_sets counts distinct n-grams for groups of sets: a group gathers
+# about this many token cells, and its seen-table, one cell per (set,
+# n-gram), has at most NGD_CELLS << 2 cells unless one set needs more.
+# Tables of 2^19 and 2^20 cells were slower, and one of 2^20 cells raised
+# the peak RSS of back-to-back evals by about 1 MB.
 NGD_CELLS = 1 << 16
 
 
@@ -124,6 +149,8 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
 
     Each row's n-grams get integer ids once, shared by every set: an
     (n+1)-gram's id numbers the distinct (n-gram id, next token) pairs.
+    A set's distinct n-grams are the cells it marks in its row of a
+    boolean seen-table.
     """
     members = np.concatenate(sets)
     sizes = [len(rows) for rows in sets]
@@ -131,7 +158,7 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
     if (np.bincount(owner, weights=lengths[members], minlength=len(sets)) == 0).any():
         raise EmptyInput("no tokens for n-gram diversity")
     bounds = np.concatenate([[0], np.cumsum(sizes)])  # set s owns members[bounds[s]:bounds[s + 1]]
-    group = max(1, NGD_CELLS // max(1, tok.shape[1] * max(sizes)))
+    gathered = max(1, NGD_CELLS // max(1, tok.shape[1] * max(sizes)))  # sets a group, by gathered cells
     token_ids, ntok = kernels.dense_token_ids(tok, lengths)
     gram_ids, ngrams = token_ids, ntok
     score = np.zeros(len(sets), dtype=np.float64)
@@ -144,13 +171,16 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
             ngrams = uniq.shape[0]
         total = np.bincount(owner, weights=np.maximum(lengths[members] - n + 1, 0), minlength=len(sets))
         distinct = np.zeros(len(sets), dtype=np.int64)
+        width = ngrams + 1  # column 0 of a set's row takes the -1 of each cell past its rows' n-grams
+        group = min(gathered, max(1, (NGD_CELLS << 2) // width))
         for lo in range(0, len(sets), group):
             hi = min(lo + group, len(sets))
             span = slice(bounds[lo], bounds[hi])
-            grams = gram_ids[members[span]]
-            keys = np.sort(((owner[span] - lo)[:, None] * ngrams + grams)[grams >= 0])
-            first = np.diff(keys, prepend=-1) != 0
-            distinct[lo:hi] = np.bincount(keys[first] // max(ngrams, 1), minlength=hi - lo)
+            cells = gram_ids[members[span]]
+            cells += ((owner[span] - lo) * width + 1)[:, None]
+            seen = np.zeros((hi - lo) * width, dtype=bool)
+            seen[cells] = True
+            distinct[lo:hi] = [np.count_nonzero(row[1:]) for row in seen.reshape(hi - lo, width)]
         score += np.where(total > 0, distinct / np.maximum(total, 1), 0.0)
     return score
 
@@ -196,10 +226,15 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
     if not run.rankings:
         raise EmptyRun("no queries in run")
     docs = corpus.documents
-    flat = np.array([docid for ranking in run.rankings for docid, _ in ranking.entries], dtype=np.int64)
-    unknown = (flat < 0) | (flat >= len(docs))
-    if unknown.any():
-        raise EmptyInput(f"run references unknown docid {flat[unknown.argmax()]}")
+    in_order = [docid for ranking in run.rankings for docid, _ in ranking.entries]
+    try:
+        flat = np.array(in_order, dtype=np.int64)
+        unknown = ((flat < 0) | (flat >= len(docs))).any()
+    except OverflowError:  # a docid past int64 is unknown too
+        unknown = True
+    if unknown:
+        first = next(docid for docid in in_order if not 0 <= docid < len(docs))
+        raise EmptyInput(f"run references unknown docid {first}")
     docids, rows = np.unique(flat, return_inverse=True)
     tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
     sets = np.split(rows, np.cumsum([len(ranking.entries) for ranking in run.rankings])[:-1])
@@ -214,15 +249,16 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
         ngd_vals = _ngd_sets(tok, lengths, sets)
         job(claimed)
 
+    ranks, num_queries = _gold_ranks(run), len(run.rankings)
     return MetricsReport(
-        hits1=hits_at_k(run, 1),
-        hits5=hits_at_k(run, 5),
-        hits10=hits_at_k(run, 10),
-        mrr10=mrr_at_k(run, 10),
+        hits1=_hits(ranks, 1, num_queries),
+        hits5=_hits(ranks, 5, num_queries),
+        hits10=_hits(ranks, 10, num_queries),
+        mrr10=_mrr(ranks, 10, num_queries),
         rouge_l_hom=float(np.mean(hom_vals)) if hom_vals else None,
         ngd=float(np.mean(ngd_vals)),
         cr=float(np.mean(cr_vals)),
-        num_queries=len(run.rankings),
+        num_queries=num_queries,
     )
 
 
@@ -243,10 +279,13 @@ _HEADINGS = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE
 
 def write_run(run: EvalRun, path) -> None:
     """TREC-style TSV: qid, docid, 1-based rank, score."""
+    lines = [
+        f"{ranking.qid}\t{docid}\t{rank}\t{score:.17g}\n"
+        for ranking in run.rankings
+        for rank, (docid, score) in enumerate(ranking.entries, start=1)
+    ]
     with atomic_open(path) as f:
-        for ranking in run.rankings:
-            for rank, (docid, score) in enumerate(ranking.entries, start=1):
-                f.write(f"{ranking.qid}\t{docid}\t{rank}\t{score:.17g}\n")
+        f.write("".join(lines))
 
 
 def read_run(path) -> list[RankedList]:

@@ -317,7 +317,7 @@ def test_add_rows_at_onto_any_rows_equals_add_at_bit_for_bit(num_rows, d, querie
 
 def test_add_rows_at_one_id_throughout_a_batch():
     # every token of a 32 x 32 batch is id 0, as for queries of unknown words:
-    # 1,024 layers of one row each
+    # each flat index of row 0 repeats 1,024 times, and gets its terms added in order
     rng = np.random.default_rng(6)
     start = rng.normal(size=(5, 8))
     rows = rng.normal(size=(32, 8))

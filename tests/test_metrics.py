@@ -208,6 +208,19 @@ def test_homogenization_is_np_mean_of_pairwise_rouge(seed):
     assert homogenization(docs) == float(np.mean([rouge_l(docs[i], docs[j]) for i, j in pairs]))
 
 
+def test_homogenization_sets_of_mixed_sizes_each_equal_that_sets_homogenization_alone():
+    # sets of 1, 2, 3, 10, 3 and 2 rows, rows repeated within and across sets:
+    # the sets of one size share one table of pair indices, which must keep
+    # each set's pairs in the order that its own mean sums them
+    rng = Xoshiro256StarStar(23)
+    docs = [[rng.randbelow(5) for _ in range(1 + rng.randbelow(12))] for _ in range(8)]
+    tok, lengths = kernels.pack_token_matrix(docs)
+    sets = [np.array([rng.randbelow(8) for _ in range(size)]) for size in (1, 2, 3, 10, 3, 2)]
+    got = importlib.import_module("ddsi.metrics")._homogenization_sets(tok, lengths, sets)
+    want = [homogenization([docs[i] for i in rows]) for rows in sets if len(rows) >= 2]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def test_homogenization_too_few():
     with pytest.raises(TooFewDocs):
         homogenization([[1, 2]])
@@ -262,15 +275,27 @@ def test_ngd_matches_oracle(docs):
     assert ngd(docs) == oracle_ngd(docs)
 
 
-@pytest.mark.parametrize("cells", [1, 100, 300, 1 << 16])
-def test_ngd_sets_counted_in_groups_match_the_oracle(monkeypatch, cells):
-    # NGD_CELLS 1 counts one set per group, 100 and 300 two and six, 1 << 16 all at once
+@pytest.mark.parametrize(
+    "cells, spare_docs", [(1, 0), (100, 0), (300, 0), (1 << 16, 0), (1000, 250)], ids=["1", "100", "300", "65536", "1000-spare"]
+)
+def test_ngd_sets_counted_in_groups_match_the_oracle(monkeypatch, cells, spare_docs):
+    # A group holds at most NGD_CELLS // (9 x 5) sets, the gathered-cell bound
+    # for rows of up to 9 tokens in sets of up to 5 rows, and at most
+    # (NGD_CELLS << 2) // (distinct n-grams + 1), the seen-table bound. With
+    # the 12 documents of 4 words alone, the gathered-cell bound splits the
+    # groups: NGD_CELLS 1 counts one set a group, 100 and 300 two and six,
+    # 1 << 16 all at once. 250 spare documents of other words, in no set,
+    # make 1,279 distinct words, so at 1000 the seen-table bound counts the
+    # sets 3, 3, 4 and 6 a group for n = 1..4, where the gathered-cell bound
+    # would take 22
     metrics_module = importlib.import_module("ddsi.metrics")
     monkeypatch.setattr(metrics_module, "NGD_CELLS", cells)
-    rng = Xoshiro256StarStar(17)
+    rng, spare_rng = Xoshiro256StarStar(17), Xoshiro256StarStar(18)
     docs = [[rng.randbelow(4) for _ in range(1 + rng.randbelow(9))] for _ in range(12)]
+    docs += [[4 + spare_rng.randbelow(10**6) for _ in range(1 + spare_rng.randbelow(9))] for _ in range(spare_docs)]
     tok, lengths = kernels.pack_token_matrix(docs)
     sets = [np.array([rng.randbelow(12) for _ in range(1 + rng.randbelow(5))]) for _ in range(30)]
+    assert max(map(len, sets)) == 5 and tok.shape[1] == 9
     got = metrics_module._ngd_sets(tok, lengths, sets)
     assert got.tolist() == [oracle_ngd([docs[i] for i in rows]) for rows in sets]
 
@@ -357,9 +382,14 @@ def recorded_compression_ratios(monkeypatch):
 
 def run_of_mixed_set_sizes(corpus, queries):
     params = init_model(corpus.vocab.size, 16, corpus.num_docs, 4)
-    run = run_queries(params, queries, cutoff=10)
+    run = run_queries(params, queries, cutoff=12)
     # one ranking short of the cutoff, so sets of different sizes mix
     run.rankings[-1].entries = run.rankings[-1].entries[:3]
+    # the last query's gold is absent from its ranking, the first's (when
+    # there are two) ranked 11th, past the report's depth of 10
+    run.golds[-1] = next(d for d in range(corpus.num_docs) if d not in run.rankings[-1].docids())
+    if len(run.rankings) > 1:
+        run.golds[0] = run.rankings[0].entries[10][0]
     return run, [tuple(corpus.documents[docid].body for docid, _ in r.entries) for r in run.rankings]
 
 
@@ -374,6 +404,9 @@ def test_report_from_run_takes_each_sets_compression_ratio_whole_and_once(monkey
     assert report.cr == float(np.mean([compression_ratio(t) for t in texts]))
     if count == 1:
         assert report.cr == compression_ratio(texts[0])
+    # relevance from the gold ranks found once, to the bit
+    relevance = [hits_at_k(run, 1), hits_at_k(run, 5), hits_at_k(run, 10), mrr_at_k(run, 10)]
+    assert [v.hex() for v in (report.hits1, report.hits5, report.hits10, report.mrr10)] == [v.hex() for v in relevance]
 
 
 def test_report_from_run_claims_each_set_once_under_thread_switches(monkeypatch, small_world, thread_switches):
@@ -508,6 +541,15 @@ def test_read_run_ids_carry_no_sign_and_scores_are_finite(tmp_path, line):
     with pytest.raises(MalformedLine) as exc:
         read_run(path)
     assert exc.value.lineno == 2
+
+
+def test_a_docid_past_int64_read_from_a_run_is_an_unknown_docid(tmp_path, small_world):
+    _, corpus, _, _ = small_world
+    path = tmp_path / "run.tsv"
+    path.write_text("0\t1\t1\t0.9\n0\t99999999999999999999\t2\t0.5\n0\t" + f"{corpus.num_docs}\t3\t0.1\n")
+    run = EvalRun(rankings=read_run(path), golds=[1])
+    with pytest.raises(EmptyInput, match=r"unknown docid 99999999999999999999$"):
+        report_from_run(run, corpus)
 
 
 def test_read_run_reads_a_negative_zero_score(tmp_path):
