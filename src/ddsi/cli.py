@@ -116,10 +116,10 @@ def cmd_eval(args) -> int:
     report = metrics.report_from_run(run, corpus)
     out = _out_dir(args.out)
     report_path, table_path, run_path = out / "report.tsv", out / "report.txt", out / "run.tsv"
-    metrics.write_report_tsv(report, report_path, dataset=dataset, alpha=args.alpha)
-    table = metrics.format_report_table(metrics.read_report_tsv(report_path))
+    row = metrics.write_report_tsv(report, report_path, dataset=dataset, alpha=args.alpha)
+    table = metrics.format_report_table([row])
     _atomic_write_text(table_path, table)
-    metrics.write_run(run, run_path)
+    metrics.write_run(run.rankings, run_path)
     config = {"cutoff": args.cutoff, "alpha": args.alpha, "dataset": dataset}
     _write_manifest(out, "eval", config, None, [Path(args.checkpoint), Path(args.corpus), Path(args.queries)], [report_path, table_path, run_path])
     print(table, end="")
@@ -134,10 +134,9 @@ def cmd_rerank(args) -> int:
     queries = load_queries(args.queries, corpus)
     params = _load_params(args.checkpoint, corpus)
     rankings = retrieve_then_rerank(params, queries, cfg)
-    run = metrics.EvalRun(rankings=rankings, golds=[q.gold_docid for q in queries])
     out = _out_dir(args.out)
     run_path = out / "run.tsv"
-    metrics.write_run(run, run_path)
+    metrics.write_run(rankings, run_path)
     config = {"lambda": cfg.lambda_, "m": cfg.m, "pool": cfg.pool}
     _write_manifest(out, "rerank", config, None, [Path(args.checkpoint), Path(args.corpus), Path(args.queries)], [run_path])
     print(f"reranked {len(rankings)} queries into {run_path}")

@@ -55,18 +55,14 @@ def lcs_lengths_pairs(tok: np.ndarray, lengths: np.ndarray, pa: np.ndarray, pb: 
     ids, ntok = dense_token_ids(tok, lengths)
     if pa.shape[0] == 0 or ntok == 0:
         return np.zeros(pa.shape[0], dtype=np.int64)
-    # LCS is symmetric: each unordered row pair is computed once
+    # LCS is symmetric: each unordered row pair is computed once, with the
+    # larger row as b. Keyed b-row first, the pairs come out ordered by b-row
     nrows = tok.shape[0]
-    pair_keys, back = np.unique(np.minimum(pa, pb) * nrows + np.maximum(pa, pb), return_inverse=True)
-    pa, pb = pair_keys // nrows, pair_keys % nrows
-
-    out = np.empty(pa.shape[0], dtype=np.int64)
-    order = np.argsort(pb, kind="stable")
-    row_starts = np.flatnonzero(np.diff(pb[order], prepend=-1))
+    pair_keys, back = np.unique(np.maximum(pa, pb) * nrows + np.minimum(pa, pb), return_inverse=True)
+    pb, pa = np.divmod(pair_keys, nrows)
+    row_starts = np.flatnonzero(np.diff(pb, prepend=-1))
     cuts = row_starts[:: max(1, _SLOT_CELLS // ntok)].tolist() + [pa.shape[0]]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sel = order[lo:hi]
-        out[sel] = _lcs_block(ids, lengths, pa[sel], pb[sel], ntok)
+    out = np.concatenate([_lcs_block(ids, lengths, pa[lo:hi], pb[lo:hi], ntok) for lo, hi in zip(cuts[:-1], cuts[1:])])
     return out[back]
 
 

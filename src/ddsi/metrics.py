@@ -82,16 +82,15 @@ def mrr_at_k(run: EvalRun, k: int = 10) -> float:
     return _mrr(_gold_ranks(run), k, len(run.rankings))
 
 
-def _homogenization_sets(tok, lengths, sets) -> list[float]:
+def _homogenization_sets(tok, lengths, members, sizes) -> list[float]:
     """Mean pairwise ROUGE-L of each set of two or more rows, in set order.
 
-    sets holds arrays of row indices into the packed (tok, lengths). The
-    sets of one size share one table of pair indices, which keeps each
-    set's pairs in np.triu_indices order, and the pairs of every set go
-    to one LCS kernel call.
+    members holds the row index into the packed (tok, lengths) of every
+    set member, one set after another, and sizes the number of members of
+    each set. The sets of one size share one table of pair indices, which
+    keeps each set's pairs in np.triu_indices order, and the pairs of
+    every set go to one LCS kernel call.
     """
-    sizes = np.array([len(rows) for rows in sets], dtype=np.int64)
-    members = np.concatenate(sets)
     # a set of two or more rows pairs each of them
     if (lengths[members[np.repeat(sizes >= 2, sizes)]] == 0).any():
         raise EmptyDocument("<homogenization input>")
@@ -115,7 +114,7 @@ def _homogenization_sets(tok, lengths, sets) -> list[float]:
     f1 = np.zeros(lcs.shape, dtype=np.float64)
     np.divide(2.0 * precision * recall, precision + recall, out=f1, where=lcs > 0)
     # each row's mean is np.mean of that set's pairs alone, to the bit
-    means = np.empty(len(sets))
+    means = np.empty(len(sizes))
     for (m, which), lo, hi in zip(by_size, bounds[:-1], bounds[1:]):
         means[which] = f1[lo:hi].reshape(len(which), -1).mean(axis=1)
     return means[multi].tolist()
@@ -127,7 +126,7 @@ def homogenization(docs) -> float:
     if len(docs) < 2:
         raise TooFewDocs(f"homogenization needs >= 2 documents, got {len(docs)}")
     tok, lengths = kernels.pack_token_matrix(docs)
-    return _homogenization_sets(tok, lengths, [np.arange(len(docs))])[0]
+    return _homogenization_sets(tok, lengths, np.arange(len(docs)), np.array([len(docs)]))[0]
 
 
 def rouge_l(a, b) -> float:
@@ -143,25 +142,25 @@ def rouge_l(a, b) -> float:
 NGD_CELLS = 1 << 16
 
 
-def _ngd_sets(tok, lengths, sets) -> np.ndarray:
+def _ngd_sets(tok, lengths, members, sizes) -> np.ndarray:
     """N-gram diversity of each set of rows: the sum over n = 1..4 of
     unique/total n-grams, pooled over the set's rows.
 
-    Each row's n-grams get integer ids once, shared by every set: an
-    (n+1)-gram's id numbers the distinct (n-gram id, next token) pairs.
-    A set's distinct n-grams are the cells it marks in its row of a
-    boolean seen-table.
+    members and sizes lay the sets out as _homogenization_sets takes
+    them. Each row's n-grams get integer ids once, shared by every set:
+    an (n+1)-gram's id numbers the distinct (n-gram id, next token)
+    pairs. A set's distinct n-grams are the cells it marks in its row of
+    a boolean seen-table.
     """
-    members = np.concatenate(sets)
-    sizes = [len(rows) for rows in sets]
-    owner = np.repeat(np.arange(len(sets)), sizes)
-    if (np.bincount(owner, weights=lengths[members], minlength=len(sets)) == 0).any():
+    nsets = len(sizes)
+    owner = np.repeat(np.arange(nsets), sizes)
+    if (np.bincount(owner, weights=lengths[members], minlength=nsets) == 0).any():
         raise EmptyInput("no tokens for n-gram diversity")
     bounds = np.concatenate([[0], np.cumsum(sizes)])  # set s owns members[bounds[s]:bounds[s + 1]]
-    gathered = max(1, NGD_CELLS // max(1, tok.shape[1] * max(sizes)))  # sets a group, by gathered cells
+    gathered = max(1, NGD_CELLS // max(1, tok.shape[1] * int(sizes.max())))  # sets a group, by gathered cells
     token_ids, ntok = kernels.dense_token_ids(tok, lengths)
     gram_ids, ngrams = token_ids, ntok
-    score = np.zeros(len(sets), dtype=np.float64)
+    score = np.zeros(nsets, dtype=np.float64)
     for n in range(1, 5):
         if n > 1:
             ends = token_ids[:, n - 1 :]
@@ -169,17 +168,18 @@ def _ngd_sets(tok, lengths, sets) -> np.ndarray:
             gram_ids = np.full(ends.shape, -1, dtype=np.int64)
             uniq, gram_ids[ends >= 0] = np.unique(keys[ends >= 0], return_inverse=True)
             ngrams = uniq.shape[0]
-        total = np.bincount(owner, weights=np.maximum(lengths[members] - n + 1, 0), minlength=len(sets))
-        distinct = np.zeros(len(sets), dtype=np.int64)
+        total = np.bincount(owner, weights=np.maximum(lengths[members] - n + 1, 0), minlength=nsets)
+        distinct = np.zeros(nsets, dtype=np.int64)
         width = ngrams + 1  # column 0 of a set's row takes the -1 of each cell past its rows' n-grams
         group = min(gathered, max(1, (NGD_CELLS << 2) // width))
-        for lo in range(0, len(sets), group):
-            hi = min(lo + group, len(sets))
+        for lo in range(0, nsets, group):
+            hi = min(lo + group, nsets)
             span = slice(bounds[lo], bounds[hi])
             cells = gram_ids[members[span]]
             cells += ((owner[span] - lo) * width + 1)[:, None]
             seen = np.zeros((hi - lo) * width, dtype=bool)
             seen[cells] = True
+            # a count per row: count_nonzero(axis=1) is slower on wide tables (109 x 5,000: 91 -> 222 us)
             distinct[lo:hi] = [np.count_nonzero(row[1:]) for row in seen.reshape(hi - lo, width)]
         score += np.where(total > 0, distinct / np.maximum(total, 1), 0.0)
     return score
@@ -191,7 +191,7 @@ def ngd(docs) -> float:
     if not docs:
         raise EmptyInput("no tokens for n-gram diversity")
     tok, lengths = kernels.pack_token_matrix(docs)
-    return float(_ngd_sets(tok, lengths, [np.arange(len(docs))])[0])
+    return float(_ngd_sets(tok, lengths, np.arange(len(docs)), np.array([len(docs)]))[0])
 
 
 def compression_ratio(texts) -> float:
@@ -227,17 +227,14 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
         raise EmptyRun("no queries in run")
     docs = corpus.documents
     in_order = [docid for ranking in run.rankings for docid, _ in ranking.entries]
-    try:
-        flat = np.array(in_order, dtype=np.int64)
-        unknown = ((flat < 0) | (flat >= len(docs))).any()
-    except OverflowError:  # a docid past int64 is unknown too
-        unknown = True
-    if unknown:
-        first = next(docid for docid in in_order if not 0 <= docid < len(docs))
-        raise EmptyInput(f"run references unknown docid {first}")
-    docids, rows = np.unique(flat, return_inverse=True)
+    # scanned before the int64 conversion, so a docid past int64 is unknown too
+    unknown = next((docid for docid in in_order if not 0 <= docid < len(docs)), None)
+    if unknown is not None:
+        raise EmptyInput(f"run references unknown docid {unknown}")
+    # rows: each entry's row of the packed documents, one ranking after another
+    docids, rows = np.unique(np.array(in_order, dtype=np.int64), return_inverse=True)
+    sizes = np.array([len(ranking.entries) for ranking in run.rankings])
     tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
-    sets = np.split(rows, np.cumsum([len(ranking.entries) for ranking in run.rankings])[:-1])
     cr_vals = np.empty(len(run.rankings))
 
     def job(claimed):  # the ratio of each claimed set, into its slot
@@ -245,8 +242,8 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
             cr_vals[s] = _compression_ratio([docs[docid].body for docid, _ in run.rankings[s].entries])
 
     with Helper("eval-helper") as helper, helper.share(len(cr_vals), job) as claimed:
-        hom_vals = _homogenization_sets(tok, lengths, sets)
-        ngd_vals = _ngd_sets(tok, lengths, sets)
+        hom_vals = _homogenization_sets(tok, lengths, rows, sizes)
+        ngd_vals = _ngd_sets(tok, lengths, rows, sizes)
         job(claimed)
 
     ranks, num_queries = _gold_ranks(run), len(run.rankings)
@@ -277,11 +274,11 @@ _FLOATS = REPORT_COLUMNS[1:-1]  # float or NA; dataset is text and num_queries a
 _HEADINGS = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE-L", "NGD", "CR"]
 
 
-def write_run(run: EvalRun, path) -> None:
-    """TREC-style TSV: qid, docid, 1-based rank, score."""
+def write_run(rankings: list[RankedList], path) -> None:
+    """The rankings as TREC-style TSV: qid, docid, 1-based rank, score."""
     lines = [
         f"{ranking.qid}\t{docid}\t{rank}\t{score:.17g}\n"
-        for ranking in run.rankings
+        for ranking in rankings
         for rank, (docid, score) in enumerate(ranking.entries, start=1)
     ]
     with atomic_open(path) as f:
@@ -334,10 +331,12 @@ def report_tsv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float | None) -> None:
+def write_report_tsv(report: MetricsReport, path, *, dataset: str, alpha: float | None) -> dict:
+    """Write the report as a one-row report TSV; return that row, as read_report_tsv reads it."""
     row = dict(zip(REPORT_COLUMNS, (dataset, alpha, *astuple(report))))
     with atomic_open(path) as f:
         f.write(report_tsv([row]))
+    return row
 
 
 def read_report_tsv(path) -> list[dict]:

@@ -241,6 +241,34 @@ def test_eval_outputs(workspace, tmp_path):
     assert run_rows and all(len(r.entries) == 10 for r in run_rows)
 
 
+@pytest.mark.parametrize("case", ["alpha-minus-zero", "alpha-na", "one-doc"])
+def test_eval_prints_what_report_prints_for_its_report_tsv(workspace, tmp_path, capsys, case):
+    # eval renders the row it wrote; that row must be the one its file reads back as
+    _, data, run = workspace
+    corpus, queries, ckpt = data / "corpus.jsonl", data / "test.tsv", run / "checkpoint.bin"
+    flags = ["--alpha", "-0"] if case == "alpha-minus-zero" else []
+    if case == "one-doc":
+        # every result set holds the one document, so ROUGE-L is NA
+        one = tmp_path / "one"
+        assert main(["generate", "--topics", "1", "--docs-per-topic", "1", "--queries-per-doc", "3", "--seed", "3", "--out", str(one)]) == 0
+        corpus, queries, ckpt = one / "corpus.jsonl", one / "train.tsv", one / "checkpoint.bin"
+        save_checkpoint(init_model(load_corpus(corpus).vocab.size, 8, 1, 1), ckpt)
+        flags = ["--cutoff", "1"]
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--corpus", str(corpus), "--queries", str(queries), *flags, "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    row = read_report_tsv(out / "report.tsv")[0]
+    if case == "alpha-minus-zero":
+        assert str(row["alpha"]) == "-0.0" and " -0.0000 " in printed
+    else:
+        assert row["alpha"] is None
+    assert (row["rouge_l"] is None) == (case == "one-doc")
+    assert main(["report", str(out / "report.tsv")]) == 0
+    assert printed == capsys.readouterr().out
+    assert (out / "report.txt").read_bytes() == printed.encode()
+
+
 def test_an_error_in_the_eval_helper_is_raised_by_ddsi_eval_which_joins_it(workspace, tmp_path, failing_eval_helper):
     _, data, run = workspace
     before = threading.active_count()

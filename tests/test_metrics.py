@@ -216,7 +216,7 @@ def test_homogenization_sets_of_mixed_sizes_each_equal_that_sets_homogenization_
     docs = [[rng.randbelow(5) for _ in range(1 + rng.randbelow(12))] for _ in range(8)]
     tok, lengths = kernels.pack_token_matrix(docs)
     sets = [np.array([rng.randbelow(8) for _ in range(size)]) for size in (1, 2, 3, 10, 3, 2)]
-    got = importlib.import_module("ddsi.metrics")._homogenization_sets(tok, lengths, sets)
+    got = importlib.import_module("ddsi.metrics")._homogenization_sets(tok, lengths, np.concatenate(sets), np.array(list(map(len, sets))))
     want = [homogenization([docs[i] for i in rows]) for rows in sets if len(rows) >= 2]
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -296,7 +296,7 @@ def test_ngd_sets_counted_in_groups_match_the_oracle(monkeypatch, cells, spare_d
     tok, lengths = kernels.pack_token_matrix(docs)
     sets = [np.array([rng.randbelow(12) for _ in range(1 + rng.randbelow(5))]) for _ in range(30)]
     assert max(map(len, sets)) == 5 and tok.shape[1] == 9
-    got = metrics_module._ngd_sets(tok, lengths, sets)
+    got = metrics_module._ngd_sets(tok, lengths, np.concatenate(sets), np.array(list(map(len, sets))))
     assert got.tolist() == [oracle_ngd([docs[i] for i in rows]) for rows in sets]
 
 
@@ -418,8 +418,8 @@ def test_report_from_run_claims_each_set_once_under_thread_switches(monkeypatch,
     texts = [tuple(corpus.documents[docid].body for docid, _ in r.entries) for r in run.rankings]
     want = float(np.mean([compression_ratio(t) for t in texts]))
     metrics_module = importlib.import_module("ddsi.metrics")
-    monkeypatch.setattr(metrics_module, "_homogenization_sets", lambda tok, lengths, sets: [0.0])
-    monkeypatch.setattr(metrics_module, "_ngd_sets", lambda tok, lengths, sets: np.zeros(len(sets)))
+    monkeypatch.setattr(metrics_module, "_homogenization_sets", lambda tok, lengths, members, sizes: [0.0])
+    monkeypatch.setattr(metrics_module, "_ngd_sets", lambda tok, lengths, members, sizes: np.zeros(len(sizes)))
     calls = recorded_compression_ratios(monkeypatch)
     for _ in range(50):
         calls.clear()
@@ -486,7 +486,7 @@ def test_run_file_roundtrip(tmp_path, small_world):
     params = init_model(corpus.vocab.size, 16, corpus.num_docs, 1)
     run = run_queries(params, test_q[:5], cutoff=4)
     path = tmp_path / "run.tsv"
-    write_run(run, path)
+    write_run(run.rankings, path)
     loaded = read_run(path)
     assert [r.qid for r in loaded] == [r.qid for r in run.rankings]
     for a, b in zip(loaded, run.rankings):

@@ -5,9 +5,21 @@ generate; train at alpha 1 and 0.5; eval each checkpoint on the test and
 the train queries; rerank each on the test queries at pool 50 and at
 pool = N; ``report --out`` over the evals. Manifests hold paths, so
 they are left out of the digests.
+
+Run as a script, it prints ``sha256  path`` for each data file, and
+the commands' own output goes to stderr, so that two checkouts' bytes
+compare with one ``diff``:
+
+    PYTHONPATH=src python tests/walkthrough.py OUT [--epochs E] [generate flags...]
+
+OUT should be a new directory. The generate flags (``--topics 100
+--docs-per-topic 20``, say) precede the walkthrough's ``--seed 7``.
 """
 
+import argparse
+import contextlib
 import hashlib
+import sys
 from pathlib import Path
 
 from ddsi.cli import main
@@ -45,3 +57,14 @@ def run_walkthrough(root: Path, generate_flags=(), epochs: int = 3) -> dict[str,
         for path in sorted(root.rglob("*"))
         if path.is_file() and path.name != "manifest.json"
     }
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Run the walkthrough and print the sha256 of each data file.", allow_abbrev=False)
+    parser.add_argument("out", type=Path, help="directory to run it in")
+    parser.add_argument("--epochs", type=int, default=3, help="epochs of each train (default 3)")
+    args, generate_flags = parser.parse_known_args()
+    with contextlib.redirect_stdout(sys.stderr):
+        digests = run_walkthrough(args.out, generate_flags, args.epochs)
+    for path, digest in digests.items():
+        print(f"{digest}  {path}")
