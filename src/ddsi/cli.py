@@ -73,6 +73,10 @@ def _config(cls, args):
 def cmd_generate(args) -> int:
     cfg = _config(SyntheticConfig, args)
     corpus, train_q, test_q = generate_synthetic(cfg)
+    for name, split in (("train", train_q), ("test", test_q)):
+        if not split:
+            raise InvalidConfig(f"the {name} query set is empty (about one query in five is a test query); "
+                                "raise --queries-per-doc, --docs-per-topic or --topics")
     out = _out_dir(args.out)
     corpus_path, train_path, test_path = out / "corpus.jsonl", out / "train.tsv", out / "test.tsv"
     save_corpus(corpus, corpus_path)

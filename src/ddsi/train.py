@@ -92,7 +92,6 @@ class TrainConfig:
 class LossBreakdown:
     ce: float
     diversity: float
-    alpha: float
     total: float
     selected_topk: np.ndarray | tuple = ()  # (B, K) top-K docids; () at alpha == 1
 
@@ -146,7 +145,7 @@ def _run_pass(p: ModelParams, tok: np.ndarray, lengths: np.ndarray, golds: np.nd
         raise NonFiniteGradient("loss is not finite")
     if not np.isfinite(grads.flat).all():
         raise NonFiniteGradient("gradient is not finite")
-    return LossBreakdown(ce=ce, diversity=div, alpha=cfg.alpha, total=total, selected_topk=topk)
+    return LossBreakdown(ce=ce, diversity=div, total=total, selected_topk=topk)
 
 
 def backward(p: ModelParams, batch: list[QueryExample], cfg: TrainConfig) -> tuple[LossBreakdown, ModelParams]:

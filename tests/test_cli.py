@@ -103,6 +103,16 @@ def test_generate_rejects_bad_near_dup(tmp_path):
     assert main(["generate", "--near-dup", "1.5", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("seed, split", [("3", "test"), ("1", "train")])
+def test_generate_refuses_an_empty_query_set_before_writing(tmp_path, capsys, seed, split):
+    # with one query, the hash split sends it to one set and leaves the other empty
+    out = tmp_path / "x"
+    code = main(["generate", "--topics", "1", "--docs-per-topic", "1", "--queries-per-doc", "1", "--seed", seed, "--out", str(out)])
+    assert code == 2
+    assert f"the {split} query set is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -475,6 +485,46 @@ def test_rerank_deterministic(workspace, tmp_path):
     assert main([*args, "--out", str(a)]) == 0
     assert main([*args, "--out", str(b)]) == 0
     assert sha(a / "run.tsv") == sha(b / "run.tsv")
+
+
+@pytest.fixture(scope="module")
+def untrained_std(tmp_path_factory):
+    """The standard corpus (N=200) and a fresh, untrained model of it."""
+    root = tmp_path_factory.mktemp("std")
+    assert main(["generate", "--out", str(root)]) == 0
+    corpus = load_corpus(root / "corpus.jsonl")
+    save_checkpoint(init_model(corpus.vocab.size, 64, corpus.num_docs, seed=3), root / "checkpoint.bin")
+    return root
+
+
+# sha256 of run.tsv per (lambda, pool, m), so that no byte of a rerank moves
+# unseen: at lambda 0 every first pick scores a signed zero, its sign set by
+# the max over the pool's order; at lambda 1 the rerank is the pool by cosine;
+# pool 200 steps each block of queries in greedy groups of 10
+RERANK_PINS = {
+    ("0", 7, 1): "155f0e6e5cb9e462bd7b7507e5a709fdfe598a08b4fd210c6389d615dd973de8",
+    ("0", 7, 7): "1320e2aeaf4f623696df7d2090d298472fc4a56296bff4f72e47d1c2f0878d73",
+    ("0", 200, 1): "42dff1c7ddbcbda3deb55652bdfaeaa2cdf6e5c4f73d32eda6bb294aa5141393",
+    ("0", 200, 10): "201b8671268dbddd9238c5af08ed31562f708e2ca8da2252dd00615547fbb61e",
+    ("0.3", 7, 1): "69a9b995470285c15169d4834bfc0b31acf1c1b25540598445fac903a3f0f678",
+    ("0.3", 7, 7): "5c7f0c04b5335a63014c27d0eec1806586a7e4e762128cf775875b2ef7e9e8a7",
+    ("0.3", 200, 1): "69a9b995470285c15169d4834bfc0b31acf1c1b25540598445fac903a3f0f678",
+    ("0.3", 200, 10): "98166fd9540dcd0d07468039f0b47071de3aa9343382386ae66842673eca4c29",
+    ("1", 7, 1): "88e2001f74b90c7c74f2ca22fddfbe72a4f5bfe29bde78295d97afa64f3f4afb",
+    ("1", 7, 7): "b79292f5c18439eaccae913288faba50b5636ccfb8b1a5e43563f858d23afcda",
+    ("1", 200, 1): "88e2001f74b90c7c74f2ca22fddfbe72a4f5bfe29bde78295d97afa64f3f4afb",
+    ("1", 200, 10): "49145fd55f1d48babb4ea7068800c23bc42fa6cc08bf1ade96d61934c5b242f9",
+}
+
+
+@pytest.mark.parametrize("lam, pool, m", sorted(RERANK_PINS))
+def test_rerank_bytes_are_pinned_at_the_edge_lambdas(untrained_std, tmp_path, lam, pool, m):
+    out = tmp_path / "r"
+    assert main([
+        "rerank", "--checkpoint", str(untrained_std / "checkpoint.bin"), "--corpus", str(untrained_std / "corpus.jsonl"),
+        "--queries", str(untrained_std / "test.tsv"), "--lambda", lam, "--m", str(m), "--pool", str(pool), "--out", str(out),
+    ]) == 0
+    assert sha(out / "run.tsv") == RERANK_PINS[lam, pool, m]
 
 
 def test_rerank_defaults_diversify_beyond_plain_top10(tmp_path):

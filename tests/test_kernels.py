@@ -188,13 +188,35 @@ def test_top_k_sorts_only_the_candidates_of_rows_without_a_tie_at_k(monkeypatch)
     monkeypatch.undo()
     assert got.tolist() == _lexsort_top_k(z, k) == [[1, 3, 5], [1, 2, 3], [1, 0, 2], [0, 1, 2]]
     assert sorted(sorted_shapes) == [(2, 3), (2, 6)]
-    # past half a row, every row is argsorted whole in one call
-    sorted_shapes.clear()
-    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_shapes.append(np.shape(a)) or argsort(a, *args, **kw))
+    # past half a row, every row is argsorted whole with numpy's default sort,
+    # then only the rows with an equal pair or a NaN among their first k + 1
+    # sorted values (all but the added row 4) again, stably
+    z = np.vstack([z, [0.5, 3.0, -1.0, 2.0, 0.0, 1.0]])
+    calls = []
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append((np.shape(a), kw.get("kind"))) or argsort(a, *args, **kw))
     got = kernels.top_k(z, k + 1)
     monkeypatch.undo()
     assert got.tolist() == _lexsort_top_k(z, k + 1)
-    assert sorted_shapes == [(4, 6)]
+    assert calls == [((5, 6), None), ((4, 6), "stable")]
+
+
+@pytest.mark.parametrize("n", [6, 7, 200])
+def test_top_k_past_half_a_row_breaks_ties_by_index(n):
+    # duplicates, signed zeros, infinities and NaNs at every depth the
+    # whole-row branch takes: just past half a row, n - 1 and n
+    rng = np.random.default_rng(n)
+    values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, np.inf, np.nan])
+    z = np.vstack([
+        rng.choice(values, size=(40, n)),
+        rng.choice(values[:-1], size=(20, n)),
+        rng.choice([-0.0, 0.0], size=(5, n)),
+        np.full((2, n), np.inf),
+        np.full((2, n), np.nan),
+        rng.normal(size=(20, n)),
+        np.arange(n)[::-1] * np.ones((3, 1)),
+    ])
+    for k in (n // 2 + 1, n - 1, n):
+        assert kernels.top_k(z, k).tolist() == _lexsort_top_k(z, k)
 
 
 def test_pair_cosines_batch_matches_each_stack():
