@@ -167,29 +167,18 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise KOutOfRange(f"K={k} outside [1, {n}]")
     neg = -scores.reshape(-1, n)
-    if 2 * k > n:
-        # sorting more than half a row's values after the partition costs
-        # more than sorting the row (at n = 200: x1.16 at k = 120, x1.9 at 199);
-        # numpy's default sort is the fast one, but it orders equal values its
-        # own way, so a row with an equal pair (-0.0 == 0.0, inf == inf) or a
-        # NaN, which sorts last, in its first k + 1 values sorts again, stably
-        order = np.argsort(neg, axis=1)
-        head = np.take_along_axis(neg, order[:, : min(k + 1, n)], axis=1)
-        tied = (head[:, 1:] == head[:, :-1]).any(axis=1) | np.isnan(head[:, -1])
-        if tied.any():
-            order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
-        return order[:, :k].reshape(scores.shape[:-1] + (k,))
-    out = np.empty((neg.shape[0], k), dtype=np.int64)
-    # a row with exactly k values at or above its k-th stable-sorts only those;
-    # any other (a tie across the k-th place, a NaN there) sorts whole
-    cand = neg <= np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-    fast = cand.sum(axis=1) == k
-    idx = np.nonzero(cand[fast])[1].reshape(-1, k)
-    by_score = np.argsort(np.take_along_axis(neg[fast], idx, axis=1), axis=1, kind="stable")
-    out[fast] = np.take_along_axis(idx, by_score, axis=1)
-    if not fast.all():
-        out[~fast] = np.argsort(neg[~fast], axis=1, kind="stable")[:, :k]
-    return out.reshape(scores.shape[:-1] + (k,))
+    # numpy's default sort is the fast one (at n = 200 it costs what
+    # np.argpartition alone does), but it orders equal values its own way; when
+    # a row's first k + 1 sorted values are distinct, the first k are the only
+    # scores above the last, in their one order, so only a row with an equal
+    # pair (-0.0 == 0.0, inf == inf) or a NaN, which sorts last, among them
+    # sorts again, stably
+    order = np.argsort(neg, axis=1)
+    head = np.take_along_axis(neg, order[:, : k + 1], axis=1)
+    tied = (head[:, 1:] == head[:, :-1]).any(axis=1) | np.isnan(head[:, -1])
+    if tied.any():
+        order[tied] = np.argsort(neg[tied], axis=1, kind="stable")
+    return order[:, :k].reshape(scores.shape[:-1] + (k,))
 
 
 def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray, src: np.ndarray | None = None) -> None:

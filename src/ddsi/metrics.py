@@ -24,6 +24,7 @@ from .errors import (
     EmptyInput,
     EmptyRun,
     MalformedLine,
+    ShapeMismatch,
     TooFewDocs,
 )
 from .fileio import atomic_open, float_cell, int_cell, read_records
@@ -54,6 +55,8 @@ def _gold_ranks(run: EvalRun) -> list[int]:
     """1-based rank of each query's gold docid, 0 where its ranking lacks it."""
     if not run.rankings:
         raise EmptyRun("no queries in run")
+    if len(run.golds) != len(run.rankings):
+        raise ShapeMismatch(f"run has {len(run.rankings)} rankings but {len(run.golds)} golds")
     ranks = []
     for ranking, gold in zip(run.rankings, run.golds):
         docids = ranking.docids()
@@ -223,8 +226,7 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
     takes the sets the helper has not reached. Each ratio is computed
     whole by one thread and the mean is taken in set order, so the
     report's bytes do not depend on how the threads share the sets."""
-    if not run.rankings:
-        raise EmptyRun("no queries in run")
+    ranks, num_queries = _gold_ranks(run), len(run.rankings)
     docs = corpus.documents
     in_order = [docid for ranking in run.rankings for docid, _ in ranking.entries]
     # scanned before the int64 conversion, so a docid past int64 is unknown too
@@ -246,7 +248,6 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
         ngd_vals = _ngd_sets(tok, lengths, rows, sizes)
         job(claimed)
 
-    ranks, num_queries = _gold_ranks(run), len(run.rankings)
     return MetricsReport(
         hits1=_hits(ranks, 1, num_queries),
         hits5=_hits(ranks, 5, num_queries),

@@ -152,18 +152,13 @@ def _lexsort_top_k(z, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=7),
-    st.lists(
-        st.lists(st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, 3.0, np.inf, np.nan]), min_size=7, max_size=7),
-        min_size=1, max_size=5,
-    ),
-    st.integers(min_value=1, max_value=7),
-)
-def test_top_k_equals_lexsort_with_ties_and_signed_zeros(n, rows, k):
-    # a row may tie across its k-th place, hold NaN or infinities, or have k == n
-    k = min(k, n)
-    z = np.array(rows)[:, :n]
+@given(st.data(), st.one_of(st.integers(min_value=1, max_value=7), st.integers(min_value=8, max_value=64)))
+def test_top_k_equals_lexsort_with_ties_and_signed_zeros(data, n):
+    # a row may tie across its k-th place, hold NaN or infinities, or have
+    # k == n; rows of 8 to 64 draw k far below half a row as well as above it
+    values = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, 3.0, np.inf, np.nan])
+    z = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=1, max_size=5)))
+    k = data.draw(st.integers(min_value=1, max_value=n))
     want = _lexsort_top_k(z, k)
     assert kernels.top_k(z, k).tolist() == want
     assert kernels.top_k(z[0], k).tolist() == want[0]
@@ -171,9 +166,9 @@ def test_top_k_equals_lexsort_with_ties_and_signed_zeros(n, rows, k):
 
 
 def test_top_k_sorts_only_the_candidates_of_rows_without_a_tie_at_k(monkeypatch):
-    # rows 0 and 3 have exactly k values at or above their k-th, ties among
-    # them above it; row 1 ties across the k-th place and row 2 has a NaN
-    # there, so only those two are argsorted whole
+    # every row is argsorted whole with numpy's default sort; rows 0 and 3 tie
+    # inside their top k, row 1 ties across the k-th place and row 2 has a NaN
+    # there, so all four are argsorted again, stably
     z = np.array([
         [0.5, 3.0, -1.0, 3.0, 0.0, 1.0],
         [0.5, 3.0, 2.0, 2.0, 0.0, 2.0],
@@ -181,29 +176,34 @@ def test_top_k_sorts_only_the_candidates_of_rows_without_a_tie_at_k(monkeypatch)
         [np.inf, -0.0, 0.0, -np.inf, np.nan, -2.0],
     ])
     k = 3
-    sorted_shapes = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_shapes.append(np.shape(a)) or argsort(a, *args, **kw))
-    got = kernels.top_k(z, k)
-    monkeypatch.undo()
-    assert got.tolist() == _lexsort_top_k(z, k) == [[1, 3, 5], [1, 2, 3], [1, 0, 2], [0, 1, 2]]
-    assert sorted(sorted_shapes) == [(2, 3), (2, 6)]
-    # past half a row, every row is argsorted whole with numpy's default sort,
-    # then only the rows with an equal pair or a NaN among their first k + 1
-    # sorted values (all but the added row 4) again, stably
-    z = np.vstack([z, [0.5, 3.0, -1.0, 2.0, 0.0, 1.0]])
     calls = []
-    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append((np.shape(a), kw.get("kind"))) or argsort(a, *args, **kw))
-    got = kernels.top_k(z, k + 1)
-    monkeypatch.undo()
+    argsort = np.argsort
+
+    def top_k_calls(z, k):
+        calls.clear()
+        monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: calls.append((np.shape(a), kw.get("kind"))) or argsort(a, *args, **kw))
+        got = kernels.top_k(z, k)
+        monkeypatch.undo()
+        return got
+
+    got = top_k_calls(z, k)
+    assert got.tolist() == _lexsort_top_k(z, k) == [[1, 3, 5], [1, 2, 3], [1, 0, 2], [0, 1, 2]]
+    assert calls == [((4, 6), None), ((4, 6), "stable")]
+    # the added row 4 has distinct values, so at k and past half a row alike
+    # it alone keeps the default sort's order
+    z = np.vstack([z, [0.5, 3.0, -1.0, 2.0, 0.0, 1.0]])
+    got = top_k_calls(z, k)
+    assert got.tolist() == _lexsort_top_k(z, k)
+    assert calls == [((5, 6), None), ((4, 6), "stable")]
+    got = top_k_calls(z, k + 1)
     assert got.tolist() == _lexsort_top_k(z, k + 1)
     assert calls == [((5, 6), None), ((4, 6), "stable")]
 
 
 @pytest.mark.parametrize("n", [6, 7, 200])
 def test_top_k_past_half_a_row_breaks_ties_by_index(n):
-    # duplicates, signed zeros, infinities and NaNs at every depth the
-    # whole-row branch takes: just past half a row, n - 1 and n
+    # duplicates, signed zeros, infinities and NaNs past half a row: just
+    # past it, n - 1, and n, where a row's k + 1 best are the whole row
     rng = np.random.default_rng(n)
     values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 1.5, np.inf, np.nan])
     z = np.vstack([

@@ -16,6 +16,7 @@ from ddsi.errors import (
     EmptyInput,
     EmptyRun,
     MalformedLine,
+    ShapeMismatch,
     TokenOutOfRange,
     TooFewDocs,
 )
@@ -126,6 +127,20 @@ def test_empty_run_rejected():
         hits_at_k(run, 1)
     with pytest.raises(EmptyRun):
         mrr_at_k(run)
+
+
+@pytest.mark.parametrize("golds", [[0], [0, 0, 0]])
+def test_run_with_more_or_fewer_golds_than_rankings_rejected(tmp_path, golds):
+    # zipped, the extra rankings or golds would drop out of the counts
+    run = dataclasses.replace(run_with_gold_ranks([1, 99]), golds=golds)
+    corpus, _ = make_single_doc_world(tmp_path)
+    message = f"2 rankings but {len(golds)} golds"
+    with pytest.raises(ShapeMismatch, match=message):
+        hits_at_k(run, 1)
+    with pytest.raises(ShapeMismatch, match=message):
+        mrr_at_k(run)
+    with pytest.raises(ShapeMismatch, match=message):
+        report_from_run(run, corpus)
 
 
 # ---------------------------------------------------------------------------
