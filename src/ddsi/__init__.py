@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .corpus import Corpus, Document, QueryExample, SyntheticConfig, Vocab, generate_synthetic, load_corpus, load_queries
 from .metrics import EvalRun, MetricsReport, evaluate
 from .mmr import MmrConfig, mmr_rerank, retrieve_then_rerank
-from .model import ModelParams, RankedList, forward, init_model, load_checkpoint, save_checkpoint, top_k
+from .model import ModelParams, RankedList, Run, forward, init_model, load_checkpoint, save_checkpoint, top_k
 from .train import LossBreakdown, TrainConfig, train
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "ModelParams",
     "QueryExample",
     "RankedList",
+    "Run",
     "SyntheticConfig",
     "TrainConfig",
     "Vocab",

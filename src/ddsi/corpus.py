@@ -15,6 +15,8 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import count, repeat
 
+import numpy as np
+
 from .errors import (
     EmptyDocument,
     EmptyInput,
@@ -212,9 +214,10 @@ class SyntheticConfig:
         return self.num_topics * self.docs_per_topic
 
 
-def _is_test_query(seed: int, qid: int) -> bool:
-    """Hash-bucket split: roughly one query in five goes to the test set."""
-    return mix_seed(seed, qid) % 5 == 0
+def _is_test_query(seed: int, qids: np.ndarray) -> np.ndarray:
+    """Hash-bucket split of uint64 qids, all in one pass: roughly one query
+    in five goes to the test set."""
+    return mix_seed(seed, qids) % 5 == 0
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[Corpus, list[QueryExample], list[QueryExample]]:
@@ -269,19 +272,14 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[Corpus, list[QueryExample]
 
     corpus = _build_corpus(rows)
 
-    train_queries: list[QueryExample] = []
-    test_queries: list[QueryExample] = []
+    queries: list[QueryExample] = []
     for (docid, _, _, words), doc in zip(rows, corpus.documents):
         for j in range(cfg.queries_per_doc):
-            qid = docid * cfg.queries_per_doc + j
             positions = rng.sample_indices(cfg.doc_len, cfg.query_len)
             text = " ".join([words[pos] for pos in positions])
             # every word is a lowercase [a-z0-9] run in the vocabulary, so
             # these are vocab.tokenize(text)
             tokens = [doc.tokens[pos] for pos in positions]
-            example = QueryExample(qid=qid, tokens=tokens, gold_docid=docid, text=text)
-            if _is_test_query(cfg.seed, qid):
-                test_queries.append(example)
-            else:
-                train_queries.append(example)
-    return corpus, train_queries, test_queries
+            queries.append(QueryExample(qid=docid * cfg.queries_per_doc + j, tokens=tokens, gold_docid=docid, text=text))
+    test = _is_test_query(cfg.seed, np.array([q.qid for q in queries], dtype=np.uint64)).tolist()
+    return corpus, [q for q, t in zip(queries, test) if not t], [q for q, t in zip(queries, test) if t]

@@ -10,6 +10,8 @@ homogenization metric.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import KOutOfRange
@@ -124,8 +126,8 @@ def pack_token_matrix(seqs) -> tuple[np.ndarray, np.ndarray]:
     if len(seqs) == 0:
         return np.zeros((0, 0), dtype=np.int64), lengths
     tok = np.full((len(seqs), max(1, int(lengths.max()))), -1, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        tok[i, : len(s)] = s
+    # row-major, the cells before each row's length are the sequences, one after another
+    tok[np.arange(tok.shape[1]) < lengths[:, None]] = np.fromiter(itertools.chain.from_iterable(seqs), np.int64, int(lengths.sum()))
     return tok, lengths
 
 

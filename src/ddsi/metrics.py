@@ -30,13 +30,14 @@ from .errors import (
 from .fileio import atomic_open, float_cell, int_cell, read_records
 from .helper import Helper
 # batch_logits and top_k stay importable only because perfbench/layers.py wraps them by name
-from .model import ModelParams, RankedList, batch_logits, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
+from .model import ModelParams, Run, batch_logits, pack_query_set, score_blocks, top_k  # noqa: F401
 
 
 @dataclass
-class EvalRun:
-    rankings: list[RankedList]
-    golds: list[int]
+class EvalRun(Run):
+    """A run with the gold docid of each of its queries."""
+
+    golds: np.ndarray
 
 
 @dataclass
@@ -51,38 +52,39 @@ class MetricsReport:
     num_queries: int
 
 
-def _gold_ranks(run: EvalRun) -> list[int]:
+def _gold_ranks(run: EvalRun) -> np.ndarray:
     """1-based rank of each query's gold docid, 0 where its ranking lacks it."""
-    if not run.rankings:
+    num_queries, golds = len(run.depths), np.asarray(run.golds)
+    if not num_queries:
         raise EmptyRun("no queries in run")
-    if len(run.golds) != len(run.rankings):
-        raise ShapeMismatch(f"run has {len(run.rankings)} rankings but {len(run.golds)} golds")
-    ranks = []
-    for ranking, gold in zip(run.rankings, run.golds):
-        docids = ranking.docids()
-        ranks.append(docids.index(gold) + 1 if gold in docids else 0)
+    if len(golds) != num_queries:
+        raise ShapeMismatch(f"run has {num_queries} rankings but {len(golds)} golds")
+    owner = np.repeat(np.arange(num_queries), run.depths)
+    hits = np.flatnonzero(run.docids == golds[owner])
+    first = hits[np.diff(owner[hits], prepend=-1) != 0]  # a gold listed twice counts where it comes first
+    ranks = np.zeros(num_queries, dtype=np.int64)
+    ranks[owner[first]] = run.ranks()[first]
     return ranks
 
 
-def _hits(ranks: list[int], k: int, num_queries: int) -> float:
-    return sum(0 < rank <= k for rank in ranks) / num_queries
+def _hits(ranks: np.ndarray, k: int) -> float:
+    return np.count_nonzero((ranks > 0) & (ranks <= k)) / len(ranks)
 
 
-def _mrr(ranks: list[int], k: int, num_queries: int) -> float:
+def _mrr(ranks: np.ndarray, k: int) -> float:
     total = 0.0
     # summed in query order, as np.sum's pairwise sum would move the last bits
-    for rank in ranks:
-        if 0 < rank <= k:
-            total += 1.0 / rank
-    return total / num_queries
+    for rank in ranks[(ranks > 0) & (ranks <= k)].tolist():
+        total += 1.0 / rank
+    return total / len(ranks)
 
 
 def hits_at_k(run: EvalRun, k: int) -> float:
-    return _hits(_gold_ranks(run), k, len(run.rankings))
+    return _hits(_gold_ranks(run), k)
 
 
 def mrr_at_k(run: EvalRun, k: int = 10) -> float:
-    return _mrr(_gold_ranks(run), k, len(run.rankings))
+    return _mrr(_gold_ranks(run), k)
 
 
 def _homogenization_sets(tok, lengths, members, sizes) -> list[float]:
@@ -213,11 +215,12 @@ _compression_ratio = compression_ratio
 def run_queries(p: ModelParams, queries: list[QueryExample], cutoff: int = 10) -> EvalRun:
     """Forward + top-cutoff for every query."""
     tok, lengths, golds = pack_query_set(p, queries)
-    rankings = []
-    for block, _, logits in score_blocks(p, tok, lengths):
+    docids, scores = [], []
+    for _, _, logits in score_blocks(p, tok, lengths):
         top = kernels.top_k(logits, cutoff)
-        rankings += ranked_lists([q.qid for q in queries[block]], top, np.take_along_axis(logits, top, axis=1))
-    return EvalRun(rankings=rankings, golds=golds.tolist())
+        docids.append(top)
+        scores.append(np.take_along_axis(logits, top, axis=1))
+    return EvalRun.from_rows([q.qid for q in queries], docids, scores, golds=golds)
 
 
 def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
@@ -226,37 +229,38 @@ def report_from_run(run: EvalRun, corpus: Corpus) -> MetricsReport:
     takes the sets the helper has not reached. Each ratio is computed
     whole by one thread and the mean is taken in set order, so the
     report's bytes do not depend on how the threads share the sets."""
-    ranks, num_queries = _gold_ranks(run), len(run.rankings)
+    ranks = _gold_ranks(run)
     docs = corpus.documents
-    in_order = [docid for ranking in run.rankings for docid, _ in ranking.entries]
-    # scanned before the int64 conversion, so a docid past int64 is unknown too
-    unknown = next((docid for docid in in_order if not 0 <= docid < len(docs)), None)
-    if unknown is not None:
-        raise EmptyInput(f"run references unknown docid {unknown}")
-    # rows: each entry's row of the packed documents, one ranking after another
-    docids, rows = np.unique(np.array(in_order, dtype=np.int64), return_inverse=True)
-    sizes = np.array([len(ranking.entries) for ranking in run.rankings])
-    tok, lengths = kernels.pack_token_matrix([docs[docid].tokens for docid in docids])
-    cr_vals = np.empty(len(run.rankings))
+    # a docid past int64, which read_run keeps as a Python int, is unknown too
+    unknown = np.flatnonzero((run.docids < 0) | (run.docids >= len(docs)))
+    if len(unknown):
+        raise EmptyInput(f"run references unknown docid {run.docids[unknown[0]]}")
+    # rows: each result's row of the packed documents, in run order
+    docids, rows = np.unique(run.docids, return_inverse=True)
+    packed = [docs[docid] for docid in docids.tolist()]
+    tok, lengths = kernels.pack_token_matrix([doc.tokens for doc in packed])
+    texts = [packed[row].body for row in rows.tolist()]  # set s is texts[bounds[s]:bounds[s + 1]]
+    bounds = [0, *np.cumsum(run.depths).tolist()]
+    cr_vals = np.empty(len(ranks))
 
     def job(claimed):  # the ratio of each claimed set, into its slot
         for s in claimed:
-            cr_vals[s] = _compression_ratio([docs[docid].body for docid, _ in run.rankings[s].entries])
+            cr_vals[s] = _compression_ratio(texts[bounds[s] : bounds[s + 1]])
 
     with Helper("eval-helper") as helper, helper.share(len(cr_vals), job) as claimed:
-        hom_vals = _homogenization_sets(tok, lengths, rows, sizes)
-        ngd_vals = _ngd_sets(tok, lengths, rows, sizes)
+        hom_vals = _homogenization_sets(tok, lengths, rows, run.depths)
+        ngd_vals = _ngd_sets(tok, lengths, rows, run.depths)
         job(claimed)
 
     return MetricsReport(
-        hits1=_hits(ranks, 1, num_queries),
-        hits5=_hits(ranks, 5, num_queries),
-        hits10=_hits(ranks, 10, num_queries),
-        mrr10=_mrr(ranks, 10, num_queries),
+        hits1=_hits(ranks, 1),
+        hits5=_hits(ranks, 5),
+        hits10=_hits(ranks, 10),
+        mrr10=_mrr(ranks, 10),
         rouge_l_hom=float(np.mean(hom_vals)) if hom_vals else None,
         ngd=float(np.mean(ngd_vals)),
         cr=float(np.mean(cr_vals)),
-        num_queries=num_queries,
+        num_queries=len(ranks),
     )
 
 
@@ -275,22 +279,31 @@ _FLOATS = REPORT_COLUMNS[1:-1]  # float or NA; dataset is text and num_queries a
 _HEADINGS = ["Dataset", "alpha", "Hits@1", "Hits@5", "Hits@10", "MRR@10", "ROUGE-L", "NGD", "CR"]
 
 
-def write_run(rankings: list[RankedList], path) -> None:
-    """The rankings as TREC-style TSV: qid, docid, 1-based rank, score."""
-    lines = [
-        f"{ranking.qid}\t{docid}\t{rank}\t{score:.17g}\n"
-        for ranking in rankings
-        for rank, (docid, score) in enumerate(ranking.entries, start=1)
-    ]
+def write_run(run: Run, path) -> None:
+    """The run as TREC-style TSV: qid, docid, 1-based rank, score, one line
+    a result. The whole file is formatted in one pass, and "%.17g" writes
+    the digits that f"{score:.17g}" does."""
+    n = len(run.docids)
+    cells = [None] * (4 * n)
+    cells[0::4] = np.repeat(run.qids, run.depths).tolist()
+    cells[1::4] = run.docids.tolist()
+    cells[2::4] = run.ranks().tolist()
+    cells[3::4] = run.scores.tolist()
     with atomic_open(path) as f:
-        f.write("".join(lines))
+        f.write("%d\t%d\t%d\t%.17g\n" * n % tuple(cells))
 
 
-def read_run(path) -> list[RankedList]:
+def _ids(values: list[int]) -> np.ndarray:
+    """values as int64, or as Python ints (dtype object) when one is past int64."""
+    return np.array(values, dtype=np.int64 if max(values, default=0) <= np.iinfo(np.int64).max else object)
+
+
+def read_run(path) -> Run:
     """Read write_run's format. Each qid's lines give ranks 1..n in file
-    order, with no docid twice."""
-    by_qid: dict[int, RankedList] = {}
-    seen: dict[int, set[int]] = {}
+    order, with no docid twice. The queries come in the order of their
+    first lines, each with all of its results."""
+    seen: dict[int, tuple[int, set[int]]] = {}  # qid -> its query's place, and the docids it lists
+    slots, docids, scores = [], [], []  # per line: its query's place, docid and score
     for lineno, line in read_records(path):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -300,15 +313,18 @@ def read_run(path) -> list[RankedList]:
             score = float_cell(parts[3])
         except ValueError as e:
             raise MalformedLine(path, lineno, str(e)) from e
-        entries = by_qid.setdefault(qid, RankedList(qid=qid, entries=[])).entries
-        docids = seen.setdefault(qid, set())
-        if rank != len(entries) + 1:
-            raise MalformedLine(path, lineno, f"qid {qid}: rank {rank} where {len(entries) + 1} is next")
-        if docid in docids:
+        slot, listed = seen.setdefault(qid, (len(seen), set()))
+        if rank != len(listed) + 1:
+            raise MalformedLine(path, lineno, f"qid {qid}: rank {rank} where {len(listed) + 1} is next")
+        if docid in listed:
             raise MalformedLine(path, lineno, f"qid {qid}: docid {docid} ranked twice")
-        docids.add(docid)
-        entries.append((docid, score))
-    return list(by_qid.values())
+        listed.add(docid)
+        slots.append(slot)
+        docids.append(docid)
+        scores.append(score)
+    order = np.argsort(np.array(slots, dtype=np.int64), kind="stable")
+    depths = np.bincount(np.array(slots, dtype=np.int64), minlength=len(seen))
+    return Run(_ids(list(seen)), depths, _ids(docids)[order], np.array(scores, dtype=np.float64)[order])
 
 
 def _fmt(value: float | None, spec: str) -> str:

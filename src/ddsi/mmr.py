@@ -21,7 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import InvalidConfig
 # encode_query, forward and top_k stay importable only because perfbench/layers.py wraps them by name
-from .model import ModelParams, RankedList, encode_query, forward, pack_query_set, ranked_lists, score_blocks, top_k  # noqa: F401
+from .model import ModelParams, RankedList, Run, encode_query, forward, pack_query_set, score_blocks, top_k  # noqa: F401
 
 
 # The greedy steps a group of about this many candidates (queries x pool) at
@@ -86,10 +86,11 @@ def mmr_rerank(query_vec, candidates: list[tuple[int, np.ndarray]], cfg: MmrConf
     if len(set(docids.tolist())) != len(docids):
         raise InvalidConfig("candidate docids must be distinct")
     vecs = kernels.unit_rows(np.array([v for _, v in candidates], dtype=np.float64))
-    return ranked_lists([qid], *_greedy(kernels.unit_rows(query_vec)[None], docids[None], vecs[None], cfg))[0]
+    picked, scores = _greedy(kernels.unit_rows(query_vec)[None], docids[None], vecs[None], cfg)
+    return Run.from_rows([qid], [picked], [scores]).rankings[0]
 
 
-def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[RankedList]:
+def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> Run:
     """Top-pool retrieval by logits, as in eval, then MMR over classifier-row
     vectors, for every query; each block of queries is reranked in groups
     of about GREEDY_CELLS candidates."""
@@ -97,12 +98,13 @@ def retrieve_then_rerank(p: ModelParams, queries, cfg: MmrConfig) -> list[Ranked
     tok, lengths, _ = pack_query_set(p, queries)
     doc_units = kernels.unit_rows(p.cls_w)
     group = max(1, GREEDY_CELLS // cfg.pool)
-    rankings = []
-    for block, act, logits in score_blocks(p, tok, lengths):
+    picked, scores = [], []
+    for _, act, logits in score_blocks(p, tok, lengths):
         pool = kernels.top_k(logits, cfg.pool)
         units = kernels.unit_rows(act)
-        qids = [q.qid for q in queries[block]]
-        for g in range(0, len(qids), group):
+        for g in range(0, len(units), group):
             at = slice(g, g + group)
-            rankings += ranked_lists(qids[at], *_greedy(units[at], pool[at], doc_units.take(pool[at], axis=0), cfg))
-    return rankings
+            d, s = _greedy(units[at], pool[at], doc_units.take(pool[at], axis=0), cfg)
+            picked.append(d)
+            scores.append(s)
+    return Run.from_rows([q.qid for q in queries], picked, scores)

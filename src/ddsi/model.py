@@ -81,7 +81,7 @@ class ModelParams:
         return ModelParams(self.flat.copy(), *self.dims)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankedList:
     """Docids with scores for one query, best first."""
 
@@ -92,9 +92,35 @@ class RankedList:
         return [d for d, _ in self.entries]
 
 
-def ranked_lists(qids, docids: np.ndarray, scores: np.ndarray) -> list[RankedList]:
-    """One RankedList per qid from rows of (queries, depth) docids and scores."""
-    return [RankedList(qid, list(zip(d, s))) for qid, d, s in zip(qids, docids.tolist(), scores.tolist())]
+@dataclass
+class Run:
+    """The rankings of many queries as flat arrays: a qid and a depth per
+    query, and a docid and a score per result, one query's results after
+    another's, in query order. Depths may differ, as in a run file."""
+
+    qids: np.ndarray
+    depths: np.ndarray
+    docids: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def from_rows(cls, qids, docids: list[np.ndarray], scores: list[np.ndarray], **more):
+        """The run of qids, each as deep as the (queries, depth) blocks of
+        docids and scores that hold its row, the blocks in query order."""
+        docids, scores = np.concatenate(docids), np.concatenate(scores)
+        return cls(np.array(qids, dtype=np.int64), np.full(len(docids), docids.shape[1]), docids.ravel(), scores.ravel(), **more)
+
+    def ranks(self) -> np.ndarray:
+        """The 1-based rank of each result within its query's ranking."""
+        return np.arange(1, len(self.docids) + 1) - np.repeat(np.cumsum(self.depths) - self.depths, self.depths)
+
+    @property
+    def rankings(self) -> tuple[RankedList, ...]:
+        """One read-only RankedList per query, made from the arrays on each read."""
+        ends = np.cumsum(self.depths).tolist()
+        docids, scores = self.docids.tolist(), self.scores.tolist()
+        return tuple(RankedList(qid, list(zip(docids[lo:hi], scores[lo:hi])))
+                     for qid, lo, hi in zip(self.qids.tolist(), [0] + ends[:-1], ends))
 
 
 def init_model(v: int, d: int, n: int, seed: int) -> ModelParams:

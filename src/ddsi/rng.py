@@ -29,7 +29,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (new_state, output)."""
+    """One splitmix64 step: returns (new_state, output). A uint64 array
+    state steps each element, wrapping as the masks do."""
     state = (state + _GOLDEN) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -42,7 +43,8 @@ def mix_seed(*parts: int) -> int:
     """Fold integers into a single 64-bit seed, order-sensitively.
 
     Used to derive stream seeds such as (run_seed, epoch) without the
-    streams aliasing each other.
+    streams aliasing each other. A uint64 array part gives the seed of
+    each of its elements.
     """
     state = 0
     for p in parts:

@@ -247,7 +247,7 @@ def test_eval_outputs(workspace, tmp_path):
     assert 0.0 <= rows[0]["hits10"] <= 1.0
     table = (out / "report.txt").read_text()
     assert table.splitlines()[0].split()[0] == "Dataset"
-    run_rows = read_run(out / "run.tsv")
+    run_rows = read_run(out / "run.tsv").rankings
     assert run_rows and all(len(r.entries) == 10 for r in run_rows)
 
 
@@ -466,7 +466,7 @@ def test_rerank_scores_a_zeroed_classifier_row_as_similarity_zero(workspace, tmp
     ]) == 0
     corpus = load_corpus(data / "corpus.jsonl")
     queries = load_queries(data / "test.tsv", corpus)
-    got = read_run(out / "run.tsv")
+    got = read_run(out / "run.tsv").rankings
     assert [r.qid for r in got] == [q.qid for q in queries]
     candidates = [(d, params.cls_w[d]) for d in range(n)]
     for r, q in zip(got, queries):
@@ -538,8 +538,8 @@ def test_rerank_defaults_diversify_beyond_plain_top10(tmp_path):
     ckpt = str(model / "checkpoint.bin")
     assert main(["eval", "--checkpoint", ckpt, *base, "--out", str(tmp_path / "eval")]) == 0
     assert main(["rerank", "--checkpoint", ckpt, *base, "--out", str(tmp_path / "rerank")]) == 0
-    plain = read_run(tmp_path / "eval" / "run.tsv")
-    mmr = read_run(tmp_path / "rerank" / "run.tsv")
+    plain = read_run(tmp_path / "eval" / "run.tsv").rankings
+    mmr = read_run(tmp_path / "rerank" / "run.tsv").rankings
     assert [r.qid for r in plain] == [r.qid for r in mmr]
     assert all(len(r.entries) == 10 for r in mmr)
     assert any(set(a.docids()) != set(b.docids()) for a, b in zip(plain, mmr))
@@ -560,8 +560,8 @@ def test_rerank_lambda_one_matches_eval_run_on_normalized_checkpoint(workspace, 
     assert main(["eval", "--checkpoint", str(ckpt), *base, "--cutoff", "10", "--out", str(eval_out)]) == 0
     assert main(["rerank", "--checkpoint", str(ckpt), *base, "--lambda", "1", "--m", "10", "--pool", "10", "--out", str(rerank_out)]) == 0
 
-    eval_run = read_run(eval_out / "run.tsv")
-    rerank_run = read_run(rerank_out / "run.tsv")
+    eval_run = read_run(eval_out / "run.tsv").rankings
+    rerank_run = read_run(rerank_out / "run.tsv").rankings
     for a, b in zip(eval_run, rerank_run):
         assert a.qid == b.qid
         assert [d for d, _ in a.entries] == [d for d, _ in b.entries]

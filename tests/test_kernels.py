@@ -146,6 +146,17 @@ def test_pack_token_matrix_pads_with_minus_one():
     np.testing.assert_array_equal(tok, [[3, 1], [2, -1]])
 
 
+def test_pack_token_matrix_fills_each_row_as_a_row_by_row_copy():
+    rng = Xoshiro256StarStar(14)
+    seqs = [[rng.randbelow(50) for _ in range(rng.randbelow(7))] for _ in range(40)] + [[], (5, 0), np.array([7, 8, 9])]
+    tok, lengths = kernels.pack_token_matrix(seqs)
+    want = np.full((len(seqs), max(len(s) for s in seqs)), -1, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        want[i, : len(s)] = s
+    assert tok.dtype == np.int64 and tok.tobytes() == want.tobytes()
+    assert lengths.tolist() == [len(s) for s in seqs]
+
+
 def _lexsort_top_k(z, k):
     """Indices of the k highest of each row, best first, ties to the smaller index, NaN last."""
     return [np.lexsort((np.arange(z.shape[1]), -row))[:k].tolist() for row in z]

@@ -40,25 +40,42 @@ from ddsi.metrics import (
     write_report_tsv,
     write_run,
 )
-from ddsi.model import RankedList, init_model
+from ddsi.model import Run, init_model
 from ddsi.rng import Xoshiro256StarStar
 from ddsi.train import TrainConfig, train
 
 from oracles import oracle_lcs, oracle_ngd
 
 
+def eval_run(entries, golds):
+    """The EvalRun of one query a list of (docid, score) entries, qids 0, 1, ..."""
+    flat = [entry for ranking in entries for entry in ranking]
+    return EvalRun(
+        qids=np.arange(len(entries)),
+        depths=np.array([len(ranking) for ranking in entries], dtype=np.int64),
+        docids=np.array([docid for docid, _ in flat], dtype=np.int64),
+        scores=np.array([score for _, score in flat], dtype=np.float64),
+        golds=np.array(golds, dtype=np.int64),
+    )
+
+
+def cut_ranking(run, query, depth):
+    """run with the ranking of one query cut to its first depth results."""
+    lo = int(run.depths[:query].sum())
+    keep = np.ones(len(run.docids), dtype=bool)
+    keep[lo + depth : lo + int(run.depths[query])] = False
+    depths = run.depths.copy()
+    depths[query] = depth
+    return dataclasses.replace(run, depths=depths, docids=run.docids[keep], scores=run.scores[keep])
+
+
 def run_with_gold_ranks(ranks, depth=10):
     """One query per rank; gold docid 0 placed at the requested 1-based rank."""
-    rankings = []
-    golds = []
-    for qid, rank in enumerate(ranks):
-        entries = []
-        for pos in range(1, depth + 1):
-            docid = 0 if pos == rank else 100 + qid * depth + pos
-            entries.append((docid, float(depth - pos)))
-        rankings.append(RankedList(qid=qid, entries=entries))
-        golds.append(0)
-    return EvalRun(rankings=rankings, golds=golds)
+    entries = [
+        [(0 if pos == rank else 100 + qid * depth + pos, float(depth - pos)) for pos in range(1, depth + 1)]
+        for qid, rank in enumerate(ranks)
+    ]
+    return eval_run(entries, [0] * len(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +138,28 @@ def test_mrr_sums_in_query_order():
     assert mrr_at_k(run_with_gold_ranks(ranks), 10) == total / len(ranks)
 
 
+def test_hits_and_mrr_of_ragged_runs_equal_the_per_ranking_loop():
+    rng = Xoshiro256StarStar(31)
+    for _ in range(30):
+        # depth 0 included, and docids drawn with repeats, so a gold may be listed twice
+        entries = [[(rng.randbelow(6), 0.5) for _ in range(rng.randbelow(8))] for _ in range(1 + rng.randbelow(9))]
+        golds = [rng.randbelow(6) for _ in entries]
+        ranks = []
+        for ranking, gold in zip(entries, golds):
+            docids = [docid for docid, _ in ranking]
+            ranks.append(docids.index(gold) + 1 if gold in docids else 0)
+        run = eval_run(entries, golds)
+        for k in (1, 3, 10):
+            assert hits_at_k(run, k) == sum(0 < rank <= k for rank in ranks) / len(ranks)
+            total = 0.0
+            for rank in ranks:
+                if 0 < rank <= k:
+                    total += 1.0 / rank
+            assert mrr_at_k(run, k) == total / len(ranks)
+
+
 def test_empty_run_rejected():
-    run = EvalRun(rankings=[], golds=[])
+    run = eval_run([], [])
     with pytest.raises(EmptyRun):
         hits_at_k(run, 1)
     with pytest.raises(EmptyRun):
@@ -397,15 +434,14 @@ def recorded_compression_ratios(monkeypatch):
 
 def run_of_mixed_set_sizes(corpus, queries):
     params = init_model(corpus.vocab.size, 16, corpus.num_docs, 4)
-    run = run_queries(params, queries, cutoff=12)
     # one ranking short of the cutoff, so sets of different sizes mix
-    run.rankings[-1].entries = run.rankings[-1].entries[:3]
+    run = cut_ranking(run_queries(params, queries, cutoff=12), len(queries) - 1, 3)
     # the last query's gold is absent from its ranking, the first's (when
     # there are two) ranked 11th, past the report's depth of 10
-    run.golds[-1] = next(d for d in range(corpus.num_docs) if d not in run.rankings[-1].docids())
-    if len(run.rankings) > 1:
-        run.golds[0] = run.rankings[0].entries[10][0]
-    return run, [tuple(corpus.documents[docid].body for docid, _ in r.entries) for r in run.rankings]
+    run.golds[-1] = next(d for d in range(corpus.num_docs) if d not in run.docids[-3:])
+    if len(queries) > 1:
+        run.golds[0] = run.docids[10]
+    return run, [tuple(corpus.documents[docid].body for docid in r.docids()) for r in run.rankings]
 
 
 @pytest.mark.parametrize("count", [1, 2, None], ids=["one", "two", "many"])
@@ -458,7 +494,7 @@ def test_the_callers_own_error_wins_over_the_eval_helpers(small_world, failing_e
     _, corpus, _, test_q = small_world
     run = run_queries(init_model(corpus.vocab.size, 16, corpus.num_docs, 4), test_q, cutoff=depth)
     docs = list(corpus.documents)
-    docid = run.rankings[0].entries[0][0]
+    docid = int(run.docids[0])
     docs[docid] = dataclasses.replace(docs[docid], tokens=[])
     before = threading.active_count()
     with pytest.raises(error):
@@ -501,11 +537,59 @@ def test_run_file_roundtrip(tmp_path, small_world):
     params = init_model(corpus.vocab.size, 16, corpus.num_docs, 1)
     run = run_queries(params, test_q[:5], cutoff=4)
     path = tmp_path / "run.tsv"
-    write_run(run.rankings, path)
+    write_run(run, path)
     loaded = read_run(path)
-    assert [r.qid for r in loaded] == [r.qid for r in run.rankings]
-    for a, b in zip(loaded, run.rankings):
-        assert a.entries == b.entries
+    assert loaded.rankings == run.rankings
+
+
+def test_write_run_writes_each_line_as_the_f_string_does(tmp_path):
+    scores = [-0.0, 5e-324, 1e-5, 1e16, 1e17, 0.1 + 0.2, 1 / 7, -2.2250738585072014e-308, 1.7976931348623157e308, 1e23]
+    # 16 digits would not read these back as the same float
+    assert [float(f"{x:.16g}") == x for x in scores[5:7]] == [False, False]
+    qids, depths, docids = [7, 3, 2**62], [4, 0, 6], [9, 0, 5, 2**62, 8, 7, 6, 4, 3, 2]
+    write_run(Run(np.array(qids), np.array(depths), np.array(docids), np.array(scores)), tmp_path / "run.tsv")
+    per_result = [(qid, rank) for qid, depth in zip(qids, depths) for rank in range(1, depth + 1)]
+    want = [f"{qid}\t{docid}\t{rank}\t{score:.17g}\n" for (qid, rank), docid, score in zip(per_result, docids, scores)]
+    assert (tmp_path / "run.tsv").read_text().splitlines(keepends=True) == want
+
+
+def test_a_ragged_run_survives_write_read_write_byte_for_byte(tmp_path):
+    depths = np.array([1, 3, 10])
+    draws = Xoshiro256StarStar(8).fill_uniform(int(depths.sum()), -1e3, 1e3)
+    docids = np.concatenate([np.arange(d)[::-1] * 7 + d for d in depths])
+    run = Run(qids=np.array([5, 0, 12]), depths=depths, docids=docids, scores=draws)
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    write_run(run, first)
+    again = read_run(first)
+    write_run(again, second)
+    assert second.read_bytes() == first.read_bytes()
+    for name in ("qids", "depths", "docids"):
+        assert getattr(again, name).tolist() == getattr(run, name).tolist()
+    assert [x.hex() for x in again.scores.tolist()] == [x.hex() for x in draws.tolist()]
+
+
+def test_read_run_gathers_each_qids_lines_in_order_of_its_first(tmp_path):
+    # qids interleave, and one is past int64
+    big = 99999999999999999999
+    path = tmp_path / "run.tsv"
+    path.write_text(f"4\t3\t1\t0.5\n{big}\t1\t1\t0.25\n4\t{big}\t2\t-0\n0\t2\t1\t1\n{big}\t0\t2\t0.125\n")
+    run = read_run(path)
+    assert [r.qid for r in run.rankings] == [4, big, 0]
+    assert [r.entries for r in run.rankings] == [[(3, 0.5), (big, -0.0)], [(1, 0.25), (0, 0.125)], [(2, 1.0)]]
+    write_run(run, tmp_path / "again.tsv")
+    assert (tmp_path / "again.tsv").read_text() == (
+        f"4\t3\t1\t0.5\n4\t{big}\t2\t-0\n{big}\t1\t1\t0.25\n{big}\t0\t2\t0.125\n0\t2\t1\t1\n"
+    )
+
+
+def test_a_runs_rankings_are_read_only_views_of_its_arrays(small_world):
+    _, corpus, _, test_q = small_world
+    run = run_queries(init_model(corpus.vocab.size, 16, corpus.num_docs, 1), test_q[:3], cutoff=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        run.rankings[0].entries = []
+    run.rankings[0].entries.clear()
+    assert [r.docids() for r in run.rankings] == run.docids.reshape(3, 4).tolist()
+    assert [r.qid for r in run.rankings] == [q.qid for q in test_q[:3]]
 
 
 def test_read_run_rejects_a_docid_ranked_twice_in_one_query(tmp_path):
@@ -532,7 +616,7 @@ def test_read_run_skips_whitespace_lines_but_counts_them(tmp_path):
         read_run(path)
     assert exc.value.lineno == 6
     path.write_text("0\t3\t1\t0.5\n \t \n\n0\t4\t2\t0.4\n\t\n")
-    assert [r.entries for r in read_run(path)] == [[(3, 0.5), (4, 0.4)]]
+    assert [r.entries for r in read_run(path).rankings] == [[(3, 0.5), (4, 0.4)]]
 
 
 @pytest.mark.parametrize("column", range(4))
@@ -562,7 +646,7 @@ def test_a_docid_past_int64_read_from_a_run_is_an_unknown_docid(tmp_path, small_
     _, corpus, _, _ = small_world
     path = tmp_path / "run.tsv"
     path.write_text("0\t1\t1\t0.9\n0\t99999999999999999999\t2\t0.5\n0\t" + f"{corpus.num_docs}\t3\t0.1\n")
-    run = EvalRun(rankings=read_run(path), golds=[1])
+    run = EvalRun(**vars(read_run(path)), golds=np.array([1]))
     with pytest.raises(EmptyInput, match=r"unknown docid 99999999999999999999$"):
         report_from_run(run, corpus)
 
@@ -570,7 +654,7 @@ def test_a_docid_past_int64_read_from_a_run_is_an_unknown_docid(tmp_path, small_
 def test_read_run_reads_a_negative_zero_score(tmp_path):
     path = tmp_path / "run.tsv"
     path.write_text("3\t0\t1\t-0\n3\t1\t2\t-1.5e-300\n")
-    [ranking] = read_run(path)
+    [ranking] = read_run(path).rankings
     assert ranking.qid == 3
     assert [(docid, score.hex()) for docid, score in ranking.entries] == [(0, "-0x0.0p+0"), (1, (-1.5e-300).hex())]
 
@@ -700,7 +784,7 @@ def test_report_formats_are_pinned(tmp_path):
 
 def test_report_from_run_rejects_unknown_docid(small_world):
     _, corpus, _, _ = small_world
-    run = EvalRun(rankings=[RankedList(qid=0, entries=[(corpus.num_docs + 5, 1.0)])], golds=[0])
+    run = eval_run([[(corpus.num_docs + 5, 1.0)]], [0])
     with pytest.raises(EmptyInput):
         report_from_run(run, corpus)
     # the error names the first unknown docid in run order
@@ -709,7 +793,7 @@ def test_report_from_run_rejects_unknown_docid(small_world):
         ([[(1, 0.9), (-2, 0.5)], [(n, 0.9), (-1, 0.1)]], -2),
         ([[(0, 0.9)], [(n + 3, 0.8), (-4, 0.7)]], n + 3),
     ):
-        run = EvalRun(rankings=[RankedList(qid=q, entries=e) for q, e in enumerate(entries)], golds=[0, 0])
+        run = eval_run(entries, [0, 0])
         with pytest.raises(EmptyInput, match=rf"unknown docid {first}$"):
             report_from_run(run, corpus)
 
@@ -728,11 +812,10 @@ def test_report_from_run_equals_per_set_functions(cfg):
     corpus, train_q, test_q = generate_synthetic(cfg)
     queries = test_q or train_q
     params = init_model(corpus.vocab.size, 16, corpus.num_docs, 2)
-    run = run_queries(params, queries, cutoff=min(10, corpus.num_docs))
     # one ranking short of the cutoff, so sets of different sizes mix
-    run.rankings[0].entries = run.rankings[0].entries[:1]
+    run = cut_ranking(run_queries(params, queries, cutoff=min(10, corpus.num_docs)), 0, 1)
     report = report_from_run(run, corpus)
-    sets = [[corpus.documents[docid].tokens for docid, _ in r.entries] for r in run.rankings]
+    sets = [[corpus.documents[docid].tokens for docid in r.docids()] for r in run.rankings]
     multi = [s for s in sets if len(s) >= 2]
     if corpus.num_docs == 1:
         assert report.rouge_l_hom is None and not multi

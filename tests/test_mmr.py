@@ -141,7 +141,7 @@ def test_rerank_lambda_one_matches_topk_on_normalized_model():
     p = normalized_model(21)
     token_lists = [[1, 4, 7], [2], [0, 11, 11, 3], [5, 6]]
     cfg = MmrConfig(lambda_=1.0, m=6, pool=6)
-    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg).rankings
     assert [r.qid for r in reranked] == [0, 1, 2, 3]
     assert [r.docids() for r in reranked] == [top_k(forward(p, tokens), 6).docids() for tokens in token_lists]
 
@@ -150,7 +150,7 @@ def test_rerank_any_lambda_same_docid_set_as_topk():
     p = init_model(12, 6, 9, 22)
     token_lists = [[2, 3], [7], [1, 1, 10]]
     cfg = MmrConfig(lambda_=0.25, m=5, pool=5)
-    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    reranked = retrieve_then_rerank(p, queries_of(token_lists), cfg).rankings
     for got, tokens in zip(reranked, token_lists):
         assert sorted(got.docids()) == sorted(top_k(forward(p, tokens), 5).docids())
 
@@ -158,7 +158,7 @@ def test_rerank_any_lambda_same_docid_set_as_topk():
 def test_rerank_full_pool_is_permutation_of_all_docids():
     p = init_model(12, 6, 9, 23)
     cfg = MmrConfig(lambda_=0.5, m=9, pool=9)
-    for out in retrieve_then_rerank(p, queries_of([[5, 6], [0], [3, 9, 9]]), cfg):
+    for out in retrieve_then_rerank(p, queries_of([[5, 6], [0], [3, 9, 9]]), cfg).rankings:
         assert sorted(out.docids()) == list(range(9))
 
 
@@ -189,7 +189,7 @@ def test_rerank_encodes_each_query_once(monkeypatch):
         return encode(embed, hidden_w, hidden_b, tok, lengths)
 
     monkeypatch.setattr(kernels, "encode", counted)
-    got = [r.entries for r in retrieve_then_rerank(p, queries_of(token_lists), cfg)]
+    got = [r.entries for r in retrieve_then_rerank(p, queries_of(token_lists), cfg).rankings]
     # one encode per block, every query in exactly one block
     assert len(rows) == len(token_lists) // QUERY_BLOCK == 2
     assert sum(rows) == len(token_lists)
@@ -204,8 +204,8 @@ def test_rerank_across_blocks_matches_each_query_alone():
     cfg = MmrConfig(lambda_=0.5, m=5, pool=12)
     token_lists = random_token_lists(26, 3 * QUERY_BLOCK + 7, v=30)
     assert len(token_lists) // QUERY_BLOCK == 3
-    together = retrieve_then_rerank(p, queries_of(token_lists), cfg)
+    together = retrieve_then_rerank(p, queries_of(token_lists), cfg).rankings
     assert [r.qid for r in together] == list(range(len(token_lists)))
     for i, (got, tokens) in enumerate(zip(together, token_lists)):
-        (alone,) = retrieve_then_rerank(p, [QueryExample(qid=i, tokens=tokens, gold_docid=0)], cfg)
+        (alone,) = retrieve_then_rerank(p, [QueryExample(qid=i, tokens=tokens, gold_docid=0)], cfg).rankings
         assert got.docids() == alone.docids()

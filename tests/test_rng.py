@@ -209,6 +209,14 @@ def test_mix_seed_order_sensitive():
     assert mix_seed(1, 2) == mix_seed(1, 2)
 
 
+@pytest.mark.parametrize("seed", [0, 7, MASK])
+def test_mix_seed_of_a_uint64_array_is_the_mix_seed_of_each_element(seed):
+    parts = [0, 1, 2, 999, 2**32, 2**63, MASK - 1, MASK]
+    mixed = mix_seed(seed, np.array(parts, dtype=np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix_seed(seed, part) for part in parts]
+
+
 def test_same_seed_same_stream():
     a = Xoshiro256StarStar(42)
     b = Xoshiro256StarStar(42)
